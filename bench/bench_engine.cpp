@@ -10,9 +10,8 @@
 //                change nothing (the Gurita HR cadence) — every tick is an
 //                event the calendar engine handles without touching flows
 //
-// Reports, per configuration: events, engine flow touches, the equivalent
-// legacy full-scan touches (both counted by the engine itself — see
-// SimResults), their ratio, wall time, and the engine phase profile
+// Reports, per configuration: events, engine flow touches (counted by the
+// engine itself — see SimResults), wall time, and the engine phase profile
 // (obs/profiler.h). Writes BENCH_engine.json for cross-PR tracking.
 //
 // Telemetry overhead guard: with --overhead-guard (default on), the first
@@ -88,7 +87,6 @@ struct BenchRow {
   Time makespan = 0;
   std::uint64_t events = 0;
   std::uint64_t flow_touches = 0;
-  std::uint64_t legacy_flow_touches = 0;
   AllocStats alloc;
   obs::PhaseProfile profile;
   bool profiled = false;
@@ -104,13 +102,6 @@ struct BenchRow {
            profile
                .phases[static_cast<std::size_t>(obs::Phase::kAllocConverge)]
                .ns;
-  }
-
-  [[nodiscard]] double touch_ratio() const {
-    return flow_touches == 0
-               ? 0.0
-               : static_cast<double>(legacy_flow_touches) /
-                     static_cast<double>(flow_touches);
   }
 };
 
@@ -176,7 +167,6 @@ BenchRow run_one(int flows, int groups, Time tick, bool ticking,
   row.makespan = results.makespan;
   row.events = results.events;
   row.flow_touches = results.flow_touches;
-  row.legacy_flow_touches = results.legacy_flow_touches;
   if (wiring == ObsWiring::kProfile) {
     row.profile = profiler.snapshot();
     row.profiled = true;
@@ -222,7 +212,7 @@ struct OverheadGuard {
 /// Disabled-telemetry hot-path cost: min-of-`trials` wall time with no obs
 /// wiring vs (a) an empty-mask recorder attached (disabled tracing — one
 /// null check + one bit test per emission site, plus the sampler null check
-/// in step()) and (b) additionally an interval sampler that never fires
+/// in execute()) and (b) additionally an interval sampler that never fires
 /// (disabled sampling — the poll is one comparison). A breach requires both
 /// a > 2% ratio AND > 0.5 ms absolute regression on either leg, so
 /// sub-millisecond timing noise on tiny configs cannot trip it.
@@ -335,8 +325,6 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
         << "\", \"allocator\": \"" << r.allocator
         << "\", \"events\": " << r.events
         << ", \"flow_touches\": " << r.flow_touches
-        << ", \"legacy_flow_touches\": " << r.legacy_flow_touches
-        << ", \"touch_ratio\": " << r.touch_ratio()
         << ", \"allocations\": " << r.alloc.allocations
         << ", \"flows_solved\": " << r.alloc.flows_solved
         << ", \"components_solved\": " << r.alloc.components_solved
@@ -406,11 +394,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "=== Engine microbenchmark: per-event flow touches ===\n"
-               "touch_ratio = legacy full-scan touches / calendar-engine "
-               "touches (higher is better).\n\n";
-  std::cout << "flows      scenario     allocator      events    touches     "
-               "legacy      ratio    wall_ms\n";
+  std::cout << "=== Engine microbenchmark: per-event flow touches ===\n\n";
+  std::cout << "flows      scenario     allocator      events    touches    "
+               "wall_ms\n";
 
   std::vector<BenchRow> rows;
   obs::PhaseProfile total;
@@ -420,12 +406,11 @@ int main(int argc, char** argv) {
         const BenchRow row =
             run_one(flows, groups, tick, ticking,
                     profile ? ObsWiring::kProfile : ObsWiring::kNone, kind);
-        std::printf("%-10d %-12s %-12s %8llu %10llu %10llu %9.1fx %9.2f\n",
-                    row.flows, row.scenario.c_str(), row.allocator.c_str(),
+        std::printf("%-10d %-12s %-12s %8llu %10llu %10.2f\n", row.flows,
+                    row.scenario.c_str(), row.allocator.c_str(),
                     static_cast<unsigned long long>(row.events),
                     static_cast<unsigned long long>(row.flow_touches),
-                    static_cast<unsigned long long>(row.legacy_flow_touches),
-                    row.touch_ratio(), row.wall_ms);
+                    row.wall_ms);
         if (row.profiled) total.merge(row.profile);
         rows.push_back(row);
       }

@@ -40,6 +40,7 @@
 #include "exp/experiment.h"
 #include "exp/export.h"
 #include "exp/runner.h"
+#include "fault/fault.h"
 #include "metrics/report.h"
 #include "obs/trace.h"
 #include "snapshot/snapshot.h"
@@ -116,6 +117,14 @@ int main(int argc, char** argv) {
     // can assert the halt happened and then re-invoke with --resume-from.
     std::cerr << "bench_fig5: " << e.what() << "\n";
     return 75;
+  } catch (const snapshot::SnapshotError& e) {
+    // Unreadable --resume-from checkpoint (corrupt, other format version,
+    // other workload): report it instead of aborting.
+    std::cerr << "bench_fig5: cannot resume: " << e.what() << "\n";
+    return 1;
+  } catch (const ConfigError& e) {
+    std::cerr << "bench_fig5: cannot resume: " << e.what() << "\n";
+    return 1;
   }
 
   std::cout << "=== Figure 5: average improvement of Gurita per scenario ===\n"

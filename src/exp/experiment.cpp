@@ -76,7 +76,9 @@ SimResults run_one(const ExperimentConfig& config,
     // cache holds the byte-identical SimResults, trace included, minus the
     // wall-clock profile — snapshot/snapshot.h).
     if (config.checkpoint.resume && file_exists(done_path)) {
-      snapshot::Reader r(snapshot::read_snapshot_file(done_path));
+      // Reader views its buffer; the bytes must outlive it.
+      const std::string bytes = snapshot::read_snapshot_file(done_path);
+      snapshot::Reader r(bytes);
       if (snapshot::read_header(r) != snapshot::PayloadKind::kResultsCache)
         throw snapshot::SnapshotError(done_path +
                                       " is not a results cache snapshot");

@@ -37,7 +37,6 @@ void SimResults::merge_counters(const SimResults& other) {
   rate_recomputations += other.rate_recomputations;
   events += other.events;
   flow_touches += other.flow_touches;
-  legacy_flow_touches += other.legacy_flow_touches;
   flow_aborts += other.flow_aborts;
   flow_retries += other.flow_retries;
   failed_jobs += other.failed_jobs;
@@ -49,7 +48,6 @@ void SimResults::merge_counters(const SimResults& other) {
 void SimResults::export_counters(obs::Registry& registry) const {
   registry.add("engine.events", events);
   registry.add("engine.flow_touches", flow_touches);
-  registry.add("engine.legacy_flow_touches", legacy_flow_touches);
   registry.add("engine.rate_recomputations", rate_recomputations);
   registry.add("fault.flow_aborts", flow_aborts);
   registry.add("fault.flow_retries", flow_retries);
@@ -457,12 +455,14 @@ void Simulator::arrive_job(SimJob& job) {
 
 // --- run-loop decomposition --------------------------------------------------
 //
-// run() used to be one monolithic loop; it is now prepare() + step()* +
-// collect() with every loop-carried local hoisted into a member, so the loop
-// can pause between iterations (run_until), be serialized (checkpoint) and
-// continue in another process (restore + finish) with byte-identical
-// results. The bodies below are the old run() verbatim, modulo the member
-// renames — behaviour is bit-for-bit unchanged.
+// A run is prepare(), then one event at a time, then collect(). Every event
+// goes through one boundary: next_event() brings the rates up to date and
+// returns the time of the next event, counting and advancing nothing, and
+// execute(t) moves the clock to t and runs that event. run(), run_until(),
+// finish() and run_to() are loops over this pair, so each pause lands on
+// that boundary with no phase open. Loop-carried state lives in members,
+// which checkpoint() serializes; restore() plus any drive call continues
+// byte-identically.
 
 void Simulator::prepare_structures() {
   // Hand the recorder to the scheduler so its decision records (queue
@@ -550,79 +550,27 @@ void Simulator::apply_due_disruptions() {
   }
 }
 
-void Simulator::step() {
-  step_impl();
-  // Poll outside the event body so every exit path (the idle-branch early
-  // returns included) hits the same poll point an uninterrupted run does.
-  if (config_.sampler != nullptr) poll_sampler();
+Time Simulator::next_wakeup() const {
+  const Time t_arr =
+      next_arrival_ < arrival_order_.size()
+          ? state_.jobs_[arrival_order_[next_arrival_].value()].arrival_time
+          : std::numeric_limits<Time>::infinity();
+  if (!have_faults_) return t_arr;
+  const Time t_fault = next_fault_ < fault_events_.size()
+                           ? fault_events_[next_fault_].time
+                           : std::numeric_limits<Time>::infinity();
+  return std::min({t_arr, t_fault, next_retry_time()});
 }
 
-void Simulator::step_impl() {
-  obs::PhaseProfiler* prof = config_.profiler;
-  if (++iterations_ > config_.max_iterations) {
-    std::ostringstream os;
-    os << "simulation live-lock guard tripped: now=" << now_
-       << " active_flows=" << active_.size()
-       << " pending_arrivals=" << (arrival_order_.size() - next_arrival_)
-       << " recomputations=" << results_.rate_recomputations;
-    throw std::logic_error(os.str());
-  }
-  ++results_.events;
+Time Simulator::next_event() {
   if (active_.empty()) {
-    obs::ScopedPhase arrival_phase(prof, obs::Phase::kArrival);
-    // Idle network: jump straight to whatever wakes it — the next
-    // arrival, or (under fault injection) the next fault event or due
-    // retry. Without faults this is exactly the next arrival, as before.
-    const Time t_arr =
-        next_arrival_ < arrival_order_.size()
-            ? state_.jobs_[arrival_order_[next_arrival_].value()].arrival_time
-            : std::numeric_limits<Time>::infinity();
-    Time t_idle = t_arr;
-    if (have_faults_) {
-      const Time t_fault = next_fault_ < fault_events_.size()
-                               ? fault_events_[next_fault_].time
-                               : std::numeric_limits<Time>::infinity();
-      t_idle = std::min({t_arr, t_fault, next_retry_time()});
-    }
-    if (!std::isfinite(t_idle)) {
-      // Flows are parked but nothing in the plan will ever wake them:
-      // their jobs can never finish, so fail them instead of spinning.
-      fail_stranded_jobs();
-      return;
-    }
-    if (t_idle >= horizon_) {
-      // Horizon pause (run_to): roll back the iteration accounting so a
-      // paused+resumed run counts exactly the events an uninterrupted one
-      // does, and hand control back before anything mutates.
-      --iterations_;
-      --results_.events;
-      paused_at_horizon_ = true;
-      return;
-    }
-    now_ = std::max(now_, t_idle);
-    state_.now_ = now_;
-    // Fault state must be current before any flow releases (a job
-    // arriving onto a crashed host parks its flows at release).
-    if (have_faults_) {
-      apply_due_faults();
-      fire_due_retries();
-    }
-    while (next_arrival_ < arrival_order_.size()) {
-      SimJob& j = state_.jobs_[arrival_order_[next_arrival_].value()];
-      if (j.arrival_time > now_ + kTimeEpsilon) break;
-      ++next_arrival_;
-      arrive_job(j);
-    }
-    if (tick_ > 0) next_tick_ = now_ + tick_;
-    apply_due_disruptions();
-    dirty_ = true;
-    return;
+    // Idle network: the next event is whatever wakes it. Parked flows that
+    // nothing in the plan will ever wake are failed by an event at the
+    // current clock (execute() spots that case the same way).
+    const Time t_idle = next_wakeup();
+    return std::isfinite(t_idle) ? t_idle : now_;
   }
-
-  const bool was_dirty = dirty_;
-  // A horizon pause may have interrupted this event after its allocation
-  // marked the TCP-ramp refresh; replay that mark on resume.
-  bool any_ramp_capped = pending_ramp_;
+  obs::PhaseProfiler* prof = config_.profiler;
   if (dirty_) {
     {
       obs::ScopedPhase assign_phase(prof, obs::Phase::kSchedulerAssign);
@@ -666,7 +614,7 @@ void Simulator::step_impl() {
                          config_.tcp_ramp_time;
         if (target > cap) {
           target = cap;
-          any_ramp_capped = true;
+          ramp_due_ = true;
         }
       }
       set_rate(f, target);
@@ -679,8 +627,7 @@ void Simulator::step_impl() {
         r.kind = obs::TraceEventKind::kFlowRateChange;
         r.time = now_;
         r.job = f.job.value();
-        r.coflow =
-            state_.jobs_[f.job.value()].coflows[f.coflow_index].value();
+        r.coflow = state_.jobs_[f.job.value()].coflows[f.coflow_index].value();
         r.flow = f.id.value();
         r.v0 = rc.old_rate;
         r.v1 = target;
@@ -690,8 +637,7 @@ void Simulator::step_impl() {
     dirty_ = false;
   }
 
-  const int drain_prev =
-      prof != nullptr ? prof->enter(obs::Phase::kCalendarDrain) : -1;
+  obs::ScopedPhase drain_phase(prof, obs::Phase::kCalendarDrain);
   // Next completion: discard stale calendar tops (their flow's rate
   // changed since the entry was pushed, or the flow already finished),
   // then the top key is the earliest projected finish.
@@ -703,133 +649,138 @@ void Simulator::step_impl() {
   const Time t_complete = calendar_.empty()
                               ? std::numeric_limits<Time>::infinity()
                               : calendar_.top().key;
-  const Time t_arrival =
-      next_arrival_ < arrival_order_.size()
-          ? state_.jobs_[arrival_order_[next_arrival_].value()].arrival_time
-          : std::numeric_limits<Time>::infinity();
   const Time t_tick =
       tick_ > 0 ? next_tick_ : std::numeric_limits<Time>::infinity();
   const Time t_disruption = next_disruption_ < disruptions_.size()
                                 ? disruptions_[next_disruption_].time
                                 : std::numeric_limits<Time>::infinity();
-  const Time t_fault = have_faults_ && next_fault_ < fault_events_.size()
-                           ? fault_events_[next_fault_].time
-                           : std::numeric_limits<Time>::infinity();
-  const Time t_retry =
-      have_faults_ ? next_retry_time() : std::numeric_limits<Time>::infinity();
-
-  Time t_next = std::min(
-      {t_complete, t_arrival, t_tick, t_disruption, t_fault, t_retry});
-  if (any_ramp_capped) {
-    // Refresh while ramping so capped flows pick up their grown windows.
-    t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
-    dirty_ = true;
-  }
+  Time t_next = std::min({t_complete, next_wakeup(), t_tick, t_disruption});
+  // Refresh while ramping so capped flows pick up their grown windows.
+  if (ramp_due_) t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
   GURITA_CHECK_MSG(std::isfinite(t_next),
                    "simulation stalled: active flows but no next event");
-  if (t_next >= horizon_) {
-    // Horizon pause (run_to): the event's allocation (if any) already ran
-    // at the unchanged clock — exactly where an uninterrupted run performs
-    // it — so only the forward-looking bookkeeping must be undone. Roll
-    // back the iteration accounting, remember the ramp-refresh mark and the
-    // dirty entry state for the resumed execution, and bail out before the
-    // clock advances.
-    --iterations_;
-    --results_.events;
-    pending_ramp_ = any_ramp_capped;
-    pending_was_dirty_ = pending_was_dirty_ || was_dirty;
-    if (any_ramp_capped) dirty_ = false;  // pending_ramp_ replays the mark
-    paused_at_horizon_ = true;
-    return;
-  }
-  pending_ramp_ = false;
-  GURITA_CHECK_MSG(t_next <= config_.max_time, "simulation exceeded max_time");
-  t_next = std::max(t_next, now_);
+  return t_next;
+}
 
-  // What the pre-calendar engine would have scanned on this event: the
-  // completion-time min search and the completion check always, the byte
-  // drain when time advances, the ramp pass when enabled, and the
-  // rebuild/assign pass when dirty — each a full active-set walk. An event
-  // resumed after a horizon pause entered dirty on its first execution
-  // (pending_was_dirty_), even though the resumed pass finds dirty_ clear.
-  std::uint64_t legacy_scans = 2;
-  if (was_dirty || pending_was_dirty_) ++legacy_scans;
-  pending_was_dirty_ = false;
-  if (config_.tcp_ramp_time > 0) ++legacy_scans;
-  if (t_next > now_) ++legacy_scans;
-  results_.legacy_flow_touches += legacy_scans * active_.size();
-
-  // No per-flow drain sweep: every flow keeps draining linearly from its
-  // (last_touched, rate) settle point; advancing the clock is O(1).
-  now_ = t_next;
-  state_.now_ = now_;
-  apply_due_disruptions();
-  // Faults and retries fire before completion processing: a flow whose
-  // host dies at the very instant it would have finished is aborted (the
-  // pop loop then discards its stale calendar entry). "Fault beats
-  // completion" keeps the tie-break deterministic and pessimistic.
-  if (have_faults_) {
-    apply_due_faults();
-    fire_due_retries();
+void Simulator::execute(Time t) {
+  obs::PhaseProfiler* prof = config_.profiler;
+  if (++iterations_ > config_.max_iterations) {
+    std::ostringstream os;
+    os << "simulation live-lock guard tripped: now=" << now_
+       << " active_flows=" << active_.size()
+       << " pending_arrivals=" << (arrival_order_.size() - next_arrival_)
+       << " recomputations=" << results_.rate_recomputations;
+    throw std::logic_error(os.str());
   }
+  ++results_.events;
+  // A ramp-capped allocation is refreshed at the next event.
+  if (ramp_due_) dirty_ = true;
+  ramp_due_ = false;
 
-  // Completions (deterministic order: ascending flow id). A flow is done
-  // when its residual bytes are negligible OR its residual transfer time
-  // falls below the clock's floating-point resolution at `now_` — without
-  // the second clause a nearly-drained flow whose remaining/rate is
-  // smaller than one ulp of now_ would stall the clock forever. Calendar
-  // keys are projected zero-drain times, so due entries form a prefix of
-  // the heap order and the pop loop stops at the first entry still in the
-  // future.
-  const Time quantum = std::max(1.0, now_) * 1e-12;
-  done_.clear();
-  while (!calendar_.empty()) {
-    const CalendarEntry top = calendar_.top();
-    if (top.gen != gen_[top.flow.value()]) {
-      calendar_.pop();
-      ++results_.flow_touches;
-      continue;
-    }
-    const SimFlow& f = state_.flows_[top.flow.value()];
-    const Bytes rem = f.remaining_at(now_);
-    if (!(rem <= kByteEpsilon || rem <= f.rate * quantum)) break;
-    calendar_.pop();
-    ++results_.flow_touches;
-    done_.push_back(top.flow);
-  }
-  if (prof != nullptr) prof->leave(drain_prev);
-  if (!done_.empty()) {
-    obs::ScopedPhase completion_phase(prof, obs::Phase::kCompletion);
-    std::sort(done_.begin(), done_.end());
-    for (FlowId id : done_) {
-      // A completion-tied fault may have aborted or cancelled the flow
-      // after its entry was popped above; skip it (gen was bumped, but
-      // the pop happened first).
-      SimFlow& f = state_.flows_[id.value()];
-      if (f.finished() || f.cancelled || f.abort_time >= 0) continue;
-      finish_flow(f);
-    }
-    dirty_ = true;
-  }
-
-  // Arrivals due now.
-  if (next_arrival_ < arrival_order_.size()) {
+  if (active_.empty()) {
     obs::ScopedPhase arrival_phase(prof, obs::Phase::kArrival);
-    while (next_arrival_ < arrival_order_.size()) {
-      SimJob& j = state_.jobs_[arrival_order_[next_arrival_].value()];
-      if (j.arrival_time > now_ + kTimeEpsilon) break;
-      ++next_arrival_;
-      arrive_job(j);
+    if (!std::isfinite(next_wakeup())) {
+      // Flows are parked but nothing in the plan will ever wake them:
+      // their jobs can never finish, so fail them instead of spinning.
+      fail_stranded_jobs();
+    } else {
+      now_ = std::max(now_, t);
+      state_.now_ = now_;
+      // Fault state must be current before any flow releases (a job
+      // arriving onto a crashed host parks its flows at release).
+      if (have_faults_) {
+        apply_due_faults();
+        fire_due_retries();
+      }
+      while (next_arrival_ < arrival_order_.size()) {
+        SimJob& j = state_.jobs_[arrival_order_[next_arrival_].value()];
+        if (j.arrival_time > now_ + kTimeEpsilon) break;
+        ++next_arrival_;
+        arrive_job(j);
+      }
+      if (tick_ > 0) next_tick_ = now_ + tick_;
+      apply_due_disruptions();
       dirty_ = true;
     }
-  }
+  } else {
+    GURITA_CHECK_MSG(t <= config_.max_time, "simulation exceeded max_time");
+    const int drain_prev =
+        prof != nullptr ? prof->enter(obs::Phase::kCalendarDrain) : -1;
+    // No per-flow drain sweep: every flow keeps draining linearly from its
+    // (last_touched, rate) settle point; advancing the clock is O(1).
+    now_ = std::max(t, now_);
+    state_.now_ = now_;
+    apply_due_disruptions();
+    // Faults and retries fire before completion processing: a flow whose
+    // host dies at the very instant it would have finished is aborted (the
+    // pop loop then discards its stale calendar entry). "Fault beats
+    // completion" keeps the tie-break deterministic and pessimistic.
+    if (have_faults_) {
+      apply_due_faults();
+      fire_due_retries();
+    }
 
-  // Coordination tick; only a changed priority forces a rate recompute.
-  if (tick_ > 0 && now_ + kTimeEpsilon >= next_tick_) {
-    obs::ScopedPhase tick_phase(prof, obs::Phase::kTick);
-    if (scheduler_->on_tick(now_)) dirty_ = true;
-    next_tick_ += tick_;
+    // Completions (deterministic order: ascending flow id). A flow is done
+    // when its residual bytes are negligible OR its residual transfer time
+    // falls below the clock's floating-point resolution at `now_` — without
+    // the second clause a nearly-drained flow whose remaining/rate is
+    // smaller than one ulp of now_ would stall the clock forever. Calendar
+    // keys are projected zero-drain times, so due entries form a prefix of
+    // the heap order and the pop loop stops at the first entry still in the
+    // future.
+    const Time quantum = std::max(1.0, now_) * 1e-12;
+    done_.clear();
+    while (!calendar_.empty()) {
+      const CalendarEntry top = calendar_.top();
+      if (top.gen != gen_[top.flow.value()]) {
+        calendar_.pop();
+        ++results_.flow_touches;
+        continue;
+      }
+      const SimFlow& f = state_.flows_[top.flow.value()];
+      const Bytes rem = f.remaining_at(now_);
+      if (!(rem <= kByteEpsilon || rem <= f.rate * quantum)) break;
+      calendar_.pop();
+      ++results_.flow_touches;
+      done_.push_back(top.flow);
+    }
+    if (prof != nullptr) prof->leave(drain_prev);
+    if (!done_.empty()) {
+      obs::ScopedPhase completion_phase(prof, obs::Phase::kCompletion);
+      std::sort(done_.begin(), done_.end());
+      for (FlowId id : done_) {
+        // A completion-tied fault may have aborted or cancelled the flow
+        // after its entry was popped above; skip it (gen was bumped, but
+        // the pop happened first).
+        SimFlow& f = state_.flows_[id.value()];
+        if (f.finished() || f.cancelled || f.abort_time >= 0) continue;
+        finish_flow(f);
+      }
+      dirty_ = true;
+    }
+
+    // Arrivals due now.
+    if (next_arrival_ < arrival_order_.size()) {
+      obs::ScopedPhase arrival_phase(prof, obs::Phase::kArrival);
+      while (next_arrival_ < arrival_order_.size()) {
+        SimJob& j = state_.jobs_[arrival_order_[next_arrival_].value()];
+        if (j.arrival_time > now_ + kTimeEpsilon) break;
+        ++next_arrival_;
+        arrive_job(j);
+        dirty_ = true;
+      }
+    }
+
+    // Coordination tick; only a changed priority forces a rate recompute.
+    if (tick_ > 0 && now_ + kTimeEpsilon >= next_tick_) {
+      obs::ScopedPhase tick_phase(prof, obs::Phase::kTick);
+      if (scheduler_->on_tick(now_)) dirty_ = true;
+      next_tick_ += tick_;
+    }
   }
+  // Poll after the event body so every kind of event hits the same poll
+  // point an uninterrupted run does.
+  if (config_.sampler != nullptr) poll_sampler();
 }
 
 void Simulator::poll_sampler() {
@@ -953,20 +904,19 @@ SimResults Simulator::collect() {
 
 SimResults Simulator::run() {
   prepare();
-  while (pending()) step();
-  return collect();
+  return finish();
 }
 
 bool Simulator::run_until(Time deadline) {
   if (!prepared_) prepare();
   GURITA_CHECK_MSG(!collected_, "run_until after results were collected");
-  while (pending() && now_ < deadline) step();
+  while (pending() && now_ < deadline) execute(next_event());
   return pending();
 }
 
 SimResults Simulator::finish() {
   GURITA_CHECK_MSG(prepared_, "finish() before run_until()/restore()");
-  while (pending()) step();
+  (void)run_to(std::numeric_limits<Time>::infinity());
   return collect();
 }
 
@@ -975,11 +925,11 @@ SimResults Simulator::finish() {
 bool Simulator::run_to(Time bound) {
   if (!prepared_) prepare();
   GURITA_CHECK_MSG(!collected_, "run_to after results were collected");
-  horizon_ = bound;
-  paused_at_horizon_ = false;
-  while (pending() && !paused_at_horizon_) step();
-  horizon_ = std::numeric_limits<Time>::infinity();
-  paused_at_horizon_ = false;
+  while (pending()) {
+    const Time t = next_event();
+    if (t >= bound) break;
+    execute(t);
+  }
   return pending();
 }
 

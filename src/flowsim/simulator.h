@@ -129,13 +129,6 @@ struct SimResults {
   /// releases, settles/re-keys after a rate change, calendar pops (valid
   /// and stale) and finishes.
   std::uint64_t flow_touches = 0;
-  /// Per-flow units of work the pre-calendar engine would have performed on
-  /// the same event sequence: one full active-set scan each for the
-  /// completion-time min search and the completion check every event, plus
-  /// the byte drain when time advances, the ramp-cap pass when the TCP ramp
-  /// is enabled, and the rebuild/assign pass on dirty events. Maintained so
-  /// bench_engine can report the touch ratio without running the old code.
-  std::uint64_t legacy_flow_touches = 0;
 
   // --- fault-injection accounting (fault/fault.h; all zero without a
   // fault plan) ---
@@ -195,21 +188,19 @@ struct SimResults {
   [[nodiscard]] double link_utilization(LinkId id, Rate capacity) const;
 
   /// Folds another run's cost counters (events, flow_touches,
-  /// legacy_flow_touches, rate_recomputations, the fault counters
-  /// and byte/latency totals) and makespan into this
-  /// result. Counters are strictly per-run — the engine only ever writes
-  /// the SimResults of its own run() — and pooling across runs happens
-  /// through this explicit merge, so parallel sweeps aggregate them
-  /// deterministically in merge order instead of interleaving updates.
+  /// rate_recomputations, the fault counters and byte/latency totals) and
+  /// makespan into this result. Counters are strictly per-run — the engine
+  /// only ever writes the SimResults of its own run() — and pooling across
+  /// runs happens through this explicit merge, so parallel sweeps aggregate
+  /// them deterministically in merge order instead of interleaving updates.
   /// Does not touch jobs/coflows (population pooling re-ids those), nor
   /// the trace/profile telemetry (absorb() pools those).
   void merge_counters(const SimResults& other);
 
   /// Projects the engine-cost counters into a registry ("engine.events",
-  /// "engine.flow_touches", "engine.legacy_flow_touches",
-  /// "engine.rate_recomputations"), the integer fault counters
-  /// ("fault.flow_aborts", "fault.flow_retries", "fault.failed_jobs"),
-  /// plus the "engine.makespan" gauge. The double-valued fault totals
+  /// "engine.flow_touches", "engine.rate_recomputations"), the integer
+  /// fault counters ("fault.flow_aborts", "fault.flow_retries",
+  /// "fault.failed_jobs"), plus the "engine.makespan" gauge. The double-valued fault totals
   /// (bytes, latency) are deliberately not exported: registry gauges merge
   /// by max, which would disagree with merge_counters' summation.
   /// Registry::merge over per-run exports agrees with merge_counters
@@ -312,13 +303,13 @@ class Simulator {
   JobId admit(const JobSpec& job);
 
   /// Open-horizon drive: processes every event with time strictly below
-  /// `bound`, then pauses *before* the first event at or beyond it (the
-  /// iteration is rolled back, so a paused+resumed run counts exactly the
-  /// events an uninterrupted one does). Pausing never perturbs the run:
-  /// admit() at the pause point behaves as if the job had been submitted up
-  /// front, and checkpoint() captures the boundary losslessly. With `bound`
-  /// = +infinity this is exactly finish()'s drain loop (no pause). Returns
-  /// true while work remains.
+  /// `bound`, then pauses *before* the first event at or beyond it — that
+  /// event is neither counted nor executed, so a paused+resumed run counts
+  /// exactly the events an uninterrupted one does. Pausing never perturbs
+  /// the run: admit() at the pause point behaves as if the job had been
+  /// submitted up front, and checkpoint() captures the boundary losslessly.
+  /// With `bound` = +infinity this is finish()'s drain loop (no pause).
+  /// Returns true while work remains.
   bool run_to(Time bound);
 
   /// Outcome of one compact() pass: the evicted jobs' results, harvested
@@ -391,7 +382,7 @@ class Simulator {
   /// aggregates, flow progress, parked/retry fault state, fault-plan
   /// cursor, partial result counters, the attached trace recorder's buffer
   /// and the scheduler's policy state (Scheduler::save_state) — into `w`.
-  /// Must be called at an event boundary (between run_until calls); const,
+  /// Must be called at an event boundary (between drive calls); const,
   /// so checkpointing never perturbs the run. Implemented in
   /// snapshot/snapshot.cpp (link gurita_snapshot to use it).
   void checkpoint(snapshot::Writer& w) const;
@@ -402,8 +393,9 @@ class Simulator {
   /// one (the snapshot carries a fingerprint and throws SnapshotError on a
   /// mismatch) — the snapshot holds dynamic state only, so static structure
   /// (topology, specs, routes) is reconstructed from those inputs. After
-  /// restore, run_until()/finish() continue byte-identically to the
-  /// uninterrupted run. Implemented in snapshot/snapshot.cpp.
+  /// restore, any drive call (run_until, run_to, finish) continues
+  /// byte-identically to the uninterrupted run. Implemented in
+  /// snapshot/snapshot.cpp.
   void restore(snapshot::Reader& r);
 
   [[nodiscard]] const SimState& state() const { return state_; }
@@ -502,19 +494,11 @@ class Simulator {
   /// topology or population changed since the last allocation).
   bool dirty_ = true;
 
-  // --- open-horizon pause state (run_to; DESIGN.md §15) ---
-  /// Events at or beyond this time pause instead of executing. +infinity
-  /// outside run_to, so batch runs never pause.
-  Time horizon_ = std::numeric_limits<Time>::infinity();
-  /// step() paused before an event at/beyond horizon_ (transient: reset by
-  /// run_to on entry and exit).
-  bool paused_at_horizon_ = false;
-  /// A paused event had already marked the TCP-ramp refresh; replay it on
-  /// resume (the allocation itself already ran). Serialized (snapshot v3).
-  bool pending_ramp_ = false;
-  /// A paused event entered with dirty_ set; its legacy-cost accounting is
-  /// owed when the event finally executes. Serialized (snapshot v3).
-  bool pending_was_dirty_ = false;
+  /// The last allocation capped a flow at its TCP-ramp window, so rates
+  /// are refreshed a ramp time later: next_event() sets it, execute()
+  /// turns it into dirty_. Serialized — a run paused by run_to sits
+  /// between the two.
+  bool ramp_due_ = false;
   /// Flow-store reservation watermark: released flows plus the unreleased
   /// flows of every registered job. admit() grows the store (re-pointing
   /// active_) when a new job pushes this past capacity; release_coflow's
@@ -599,17 +583,24 @@ class Simulator {
   void grow_flow_store();
 
   // --- run-loop decomposition (run() == prepare(); while (pending())
-  // step(); collect()) ---
+  // execute(next_event()); collect()) ---
   /// Static structures shared by prepare() and restore(): scheduler attach,
   /// flow-store reservation, arrival order, sorted disruptions, tick cache.
   void prepare_structures();
   /// Full fresh-run initialization (prepare_structures + dynamic defaults).
   void prepare();
-  /// One main-loop iteration (one event). Thin wrapper over step_impl()
-  /// that polls the interval sampler afterwards, so every exit path of the
-  /// event body (idle early-outs included) is sampled.
-  void step();
-  void step_impl();
+  /// Time of the next event. Runs the pending allocation (dirty_) and
+  /// drops stale calendar tops first, but counts no event and does not
+  /// advance the clock; a second call returns the same time and does no
+  /// further work. An idle network whose parked flows nothing will wake
+  /// returns now(): the event that fails their jobs.
+  Time next_event();
+  /// Counts the event, advances the clock to `t` (the value next_event()
+  /// returned), runs that one event and polls the interval sampler.
+  void execute(Time t);
+  /// Earliest pending arrival, fault-plan event or retry (+infinity if
+  /// none): what wakes an idle network.
+  [[nodiscard]] Time next_wakeup() const;
   /// Emits due kSample/kMemSample/kWallSample records (Config::sampler) and
   /// refreshes the memory accountant. Called after every event.
   void poll_sampler();

@@ -161,11 +161,9 @@ class SnapshotCodec {
     const std::size_t token = w.begin_section();
     w.f64(s.now_);
     w.boolean(s.dirty_);
-    // Horizon-pause carry flags (run_to): a daemon checkpoint lands at a
-    // pause boundary, where the ramp-refresh mark and dirty-entry
-    // accounting of the rolled-back event are still pending.
-    w.boolean(s.pending_ramp_);
-    w.boolean(s.pending_was_dirty_);
+    // A run_to pause can fall after an allocation that capped a flow at
+    // its TCP-ramp window and before the event that refreshes it.
+    w.boolean(s.ramp_due_);
     w.u64(s.iterations_);
     w.u64(s.next_arrival_);
     w.f64(s.next_tick_);
@@ -248,7 +246,6 @@ class SnapshotCodec {
     w.u64(s.results_.rate_recomputations);
     w.u64(s.results_.events);
     w.u64(s.results_.flow_touches);
-    w.u64(s.results_.legacy_flow_touches);
     w.u64(s.results_.flow_aborts);
     w.u64(s.results_.flow_retries);
     w.u64(s.results_.failed_jobs);
@@ -284,8 +281,7 @@ class SnapshotCodec {
     const std::size_t end = r.begin_section();
     s.now_ = r.f64();
     s.dirty_ = r.boolean();
-    s.pending_ramp_ = r.boolean();
-    s.pending_was_dirty_ = r.boolean();
+    s.ramp_due_ = r.boolean();
     s.iterations_ = r.u64();
     s.next_arrival_ = r.u64();
     s.next_tick_ = r.f64();
@@ -383,7 +379,6 @@ class SnapshotCodec {
     s.results_.rate_recomputations = r.u64();
     s.results_.events = r.u64();
     s.results_.flow_touches = r.u64();
-    s.results_.legacy_flow_touches = r.u64();
     s.results_.flow_aborts = r.u64();
     s.results_.flow_retries = r.u64();
     s.results_.failed_jobs = r.u64();
@@ -488,7 +483,7 @@ class SnapshotCodec {
 
 void Simulator::checkpoint(snapshot::Writer& w) const {
   GURITA_CHECK_MSG(prepared_ && !collected_,
-                   "checkpoint() outside a paused run (use run_until first)");
+                   "checkpoint() outside an open run (use run_to first)");
   snapshot::write_header(w, snapshot::PayloadKind::kSimulatorState);
   SnapshotCodec::save_fingerprint(*this, w);
   SnapshotCodec::save(*this, w);
@@ -654,7 +649,6 @@ void save_results(Writer& w, const SimResults& results) {
   w.u64(results.rate_recomputations);
   w.u64(results.events);
   w.u64(results.flow_touches);
-  w.u64(results.legacy_flow_touches);
   w.u64(results.flow_aborts);
   w.u64(results.flow_retries);
   w.u64(results.failed_jobs);
@@ -704,7 +698,6 @@ SimResults load_results(Reader& r) {
   results.rate_recomputations = r.u64();
   results.events = r.u64();
   results.flow_touches = r.u64();
-  results.legacy_flow_touches = r.u64();
   results.flow_aborts = r.u64();
   results.flow_retries = r.u64();
   results.failed_jobs = r.u64();

@@ -4,9 +4,10 @@
 // event calendar (verbatim heap array, tombstones included), per-coflow
 // aggregates, flow progress, parked/retry fault state, fault-plan cursor,
 // partial result counters, the trace recorder's buffer and the scheduler's
-// policy state — at an event boundary, such that
+// policy state — at the engine's one event boundary, where every drive call
+// (run_until, run_to, finish) pauses, such that
 //
-//     run_until(T); checkpoint; [new process] restore; finish()
+//     run_to(T); checkpoint; [new process] restore; finish()
 //
 // is byte-identical (JCTs, counters, traces, exports) to an uninterrupted
 // run(). Static structure (topology, job specs, routes, sorted fault plan)
@@ -39,7 +40,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// so routes are no longer a pure function of the id), the engine section
 /// carries the horizon-pause carry flags, and the kServiceState payload
 /// wraps a simulator snapshot with daemon state (DESIGN.md §15).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: one event boundary for every drive call — the engine section
+/// carries only the ramp-refresh bit, and neither payload carries the
+/// legacy full-scan touch counter.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

@@ -179,21 +179,6 @@ TEST(EventCalendar, AggregatesMatchBruteForce) {
 
 // ------------------------------------------------------- cost counters
 
-TEST(EventCalendar, TouchCountersBeatLegacyScans) {
-  // Disjoint host pairs: completions disturb no other flow, the regime the
-  // calendar engine exists for. The engine's per-flow touches must be at
-  // least 2x below the equivalent legacy full-scan count (the bench_engine
-  // acceptance bar, checked here at test scale).
-  const BigSwitch fabric(BigSwitch::Config{128, 100.0});
-  PfsScheduler pfs;
-  Simulator sim(fabric, pfs);
-  sim.submit(disjoint_pairs_job(64, 8));
-  const SimResults r = sim.run();
-  EXPECT_GT(r.events, 0u);
-  EXPECT_GT(r.flow_touches, 0u);
-  EXPECT_GE(r.legacy_flow_touches, 2 * r.flow_touches);
-}
-
 TEST(EventCalendar, CountersAreDeterministic) {
   // Same workload, same scheduler -> bit-identical results and counters
   // (the engine has no hidden iteration-order or timing dependence).
@@ -216,7 +201,6 @@ TEST(EventCalendar, CountersAreDeterministic) {
   EXPECT_EQ(a.rate_recomputations, b.rate_recomputations);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.flow_touches, b.flow_touches);
-  EXPECT_EQ(a.legacy_flow_touches, b.legacy_flow_touches);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t i = 0; i < a.jobs.size(); ++i)
     EXPECT_DOUBLE_EQ(a.jobs[i].finish, b.jobs[i].finish);
@@ -248,8 +232,6 @@ TEST(EventCalendar, CountersArePerRunAndMergeExplicitly) {
   pooled.merge_counters(b);
   EXPECT_EQ(pooled.events, a.events + b.events);
   EXPECT_EQ(pooled.flow_touches, a.flow_touches + b.flow_touches);
-  EXPECT_EQ(pooled.legacy_flow_touches,
-            a.legacy_flow_touches + b.legacy_flow_touches);
   EXPECT_EQ(pooled.rate_recomputations,
             a.rate_recomputations + b.rate_recomputations);
   EXPECT_DOUBLE_EQ(pooled.makespan, std::max(a.makespan, b.makespan));
