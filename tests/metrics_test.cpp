@@ -11,10 +11,15 @@ namespace {
 
 // ------------------------------------------------------------- categories
 
+// gtest names each value-parameterized case after the raw bytes of its
+// parameter, so every byte must be defined: `tail` fills what would
+// otherwise be indeterminate padding and keeps the test names stable.
 struct CategoryCase {
   Bytes size;
   int expected;
+  int tail = 0;
 };
+static_assert(sizeof(CategoryCase) == sizeof(Bytes) + 2 * sizeof(int));
 
 class CategoryBoundaries : public ::testing::TestWithParam<CategoryCase> {};
 
