@@ -1,9 +1,13 @@
 // Microbenchmarks (google-benchmark) for the performance-critical pieces:
-// fat-tree path computation, ECMP routing, water-filling allocation,
+// fat-tree path computation, ECMP routing, water-filling allocation (and
+// the production kernel side by side with the test-only reference kernel),
 // critical-path analysis, blocking-effect evaluation, trace generation, and
 // the telemetry cost contract (engine run with no obs wiring vs a
 // disabled-mask trace recorder vs full tracing).
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "coflow/critical_path.h"
 #include "coflow/shapes.h"
@@ -11,6 +15,7 @@
 #include "flowsim/allocator.h"
 #include "flowsim/simulator.h"
 #include "obs/trace.h"
+#include "reference_waterfill.h"
 #include "sched/pfs.h"
 #include "topology/big_switch.h"
 #include "topology/ecmp.h"
@@ -69,6 +74,94 @@ void BM_Waterfill(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Waterfill)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// Kernel instances shaped like the paper workloads' allocations, built
+/// once per fabric size and shared by both kernels:
+///   pods 8  — one 512-flow component over the whole 8-pod fat-tree in
+///             four tiers (the Fig. 5 case, where one component spans the
+///             fabric);
+///   pods 48 — 4096 two-flow components on the 48-pod fat-tree, each pair
+///             sharing its sender's uplink (the Fig. 7 case: many tiny
+///             components on a fabric of ~166k links).
+struct KernelInstance {
+  std::unique_ptr<FatTree> fabric;
+  std::vector<SimFlow> flows;
+  std::vector<std::size_t> bounds;  ///< component i: [bounds[i], bounds[i+1])
+  std::vector<Rate> caps;
+};
+
+const KernelInstance& kernel_instance(int pods) {
+  static std::map<int, KernelInstance> cache;
+  KernelInstance& inst = cache[pods];
+  if (inst.fabric) return inst;
+  inst.fabric = std::make_unique<FatTree>(FatTree::Config{pods, gbps(10.0)});
+  const int hosts = inst.fabric->num_hosts();
+  Rng rng(7);
+  const auto add = [&](int src, int dst, Tier tier) {
+    SimFlow f;
+    f.id = FlowId{inst.flows.size()};
+    f.size = f.remaining = 1e6;
+    f.path = inst.fabric->route(f.id, src, dst);
+    f.tier = tier;
+    inst.flows.push_back(std::move(f));
+  };
+  const auto other = [&](int src) {
+    return (src + 1 + static_cast<int>(rng.uniform_int(
+                          0, static_cast<std::uint64_t>(hosts - 2)))) %
+           hosts;
+  };
+  if (pods == 8) {
+    for (int i = 0; i < 512; ++i) {
+      const int src = static_cast<int>(rng.uniform_int(0, 127));
+      add(src, other(src), static_cast<Tier>(i / 128));
+    }
+    inst.bounds = {0, inst.flows.size()};
+  } else {
+    inst.bounds.push_back(0);
+    for (int c = 0; c < 4096; ++c) {
+      const int src = static_cast<int>(rng.uniform_int(
+          0, static_cast<std::uint64_t>(hosts - 1)));
+      add(src, other(src), 0);
+      add(src, other(src), 0);
+      inst.bounds.push_back(inst.flows.size());
+    }
+  }
+  inst.caps.assign(inst.fabric->topology().link_count(), gbps(10.0));
+  return inst;
+}
+
+enum class Kernel { kReference, kDense };
+
+/// The same instances through the link-indexed reference kernel
+/// (tests/reference_waterfill.h) and the production dense-slot kernel
+/// (solve_component): one iteration solves every component once.
+void BM_SolveComponent(benchmark::State& state, Kernel kernel) {
+  const KernelInstance& inst =
+      kernel_instance(static_cast<int>(state.range(0)));
+  std::vector<SimFlow> flows = inst.flows;
+  std::vector<SimFlow*> ptrs;
+  for (SimFlow& f : flows) ptrs.push_back(&f);
+  const Topology& topo = inst.fabric->topology();
+  reference::RefScratch ref_scratch;
+  WaterfillScratch scratch;
+  for (auto _ : state) {
+    for (std::size_t c = 0; c + 1 < inst.bounds.size(); ++c) {
+      SimFlow* const* comp = ptrs.data() + inst.bounds[c];
+      const std::size_t n = inst.bounds[c + 1] - inst.bounds[c];
+      if (kernel == Kernel::kReference)
+        reference::ref_solve_component(topo, comp, n, inst.caps, ref_scratch);
+      else
+        solve_component(topo, comp, n, inst.caps, scratch);
+    }
+    benchmark::DoNotOptimize(flows[0].rate);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(flows.size()));
+}
+BENCHMARK_CAPTURE(BM_SolveComponent, reference, Kernel::kReference)
+    ->ArgName("pods")->Arg(8)->Arg(48);
+BENCHMARK_CAPTURE(BM_SolveComponent, dense, Kernel::kDense)
+    ->ArgName("pods")->Arg(8)->Arg(48);
 
 void BM_CriticalPath(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -27,114 +27,248 @@ AllocatorKind default_allocator_kind() {
 }
 
 void WaterfillScratch::ensure(std::size_t links) {
-  if (link_weight.size() < links) {
-    link_weight.resize(links, 0.0);
-    link_unfrozen.resize(links, 0);
-    link_nflows.resize(links, 0);
-    link_off.resize(links, 0);
-    link_cur.resize(links, 0);
-    residual.resize(links, 0.0);
-    residual_init.resize(links, 0);
+  if (link_slot.size() < links) {
+    link_slot.resize(links, 0);
+    link_stamp.resize(links, 0);
   }
 }
 
 namespace {
 
+constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The bottleneck scans run in blocks of kLanes scan indices; the scan
+/// arrays carry up to kLanes - 1 dead entries (+inf, not tiny) of padding.
+constexpr std::uint32_t kLanes = 4;
+
+std::uint32_t padded(std::uint32_t n) {
+  return (n + kLanes - 1) & ~(kLanes - 1);
+}
+
+/// Starts a new solve: bumps the link stamp (clearing the map on wrap),
+/// then gives every path link of `flows[0..n)` a dense slot in first-touch
+/// order, seeds its residual from `initial` (indexed by LinkId value) and
+/// writes each flow's path as slot indices. Sizes the slot and position
+/// arrays.
+void map_slots(SimFlow* const* flows, std::size_t n, const Rate* initial,
+               WaterfillScratch& s) {
+  if (++s.stamp == 0) {
+    std::fill(s.link_stamp.begin(), s.link_stamp.end(), 0);
+    s.stamp = 1;
+  }
+  s.slot_residual.clear();
+  s.path.clear();
+  s.path_off.resize(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.path_off[i] = static_cast<std::uint32_t>(s.path.size());
+    for (LinkId l : flows[i]->path) {
+      const std::size_t lv = l.value();
+      if (s.link_stamp[lv] != s.stamp) {
+        s.link_stamp[lv] = s.stamp;
+        s.link_slot[lv] = static_cast<std::uint32_t>(s.slot_residual.size());
+        s.slot_residual.push_back(initial[lv]);
+      }
+      s.path.push_back(s.link_slot[lv]);
+    }
+  }
+  s.path_off[n] = static_cast<std::uint32_t>(s.path.size());
+  const std::size_t slots = s.slot_residual.size();
+  s.slot_pos.assign(slots, kNoPos);
+  if (s.csr_off.size() <= slots) {
+    s.pos_slot.resize(slots);
+    s.weight.resize(slots);
+    s.residual.resize(slots);
+    s.unfrozen.resize(slots);
+    s.csr_off.resize(slots + 1);
+    s.scan_index.resize(slots);
+    s.share.resize(slots + kLanes - 1);
+    s.tiny.resize(slots + kLanes - 1);
+    s.scan_pos.resize(slots);
+  }
+}
+
+/// Refreshes the cached bottleneck test inputs of scan index `c` from its
+/// position's residual and weight. These exact expressions define the
+/// bits (the 1e-300 weight floor and the 1e-9 "tiny" residual cut-off).
+/// Recomputing on every change, never updating incrementally, keeps them
+/// equal to a from-scratch evaluation.
+inline void refresh_share(WaterfillScratch& s, std::uint32_t c, Rate residual,
+                          double weight) {
+  s.share[c] = residual / std::max(weight, 1e-300);
+  s.tiny[c] = !(residual > 1e-9);
+}
+
+/// The smallest of `share[0..n)`, `n` a multiple of kLanes: bitwise what
+/// the sequential scan `best = std::min(best, share[c])` from +inf
+/// returns. Independent lanes hide the compare latency. Their result can
+/// differ from the sequential scan's only in the sign of a zero minimum
+/// (sequentially the first zero wins; equal nonzero doubles have equal bits
+/// and NaN never wins), so a zero minimum is settled by the sequential scan.
+double min_share(const double* share, std::uint32_t n) {
+  double m[kLanes] = {kInf, kInf, kInf, kInf};
+  for (std::uint32_t c = 0; c < n; c += kLanes) {
+    for (std::uint32_t j = 0; j < kLanes; ++j)
+      m[j] = std::min(m[j], share[c + j]);
+  }
+  const double best = std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
+  if (best != 0) return best;
+  double first = kInf;
+  for (std::uint32_t c = 0; c < n; ++c) first = std::min(first, share[c]);
+  return first;
+}
+
+/// Pads the scan arrays after `nscan` live entries up to the block size.
+void pad_scan(WaterfillScratch& s, std::uint32_t nscan) {
+  for (std::uint32_t c = nscan; c < padded(nscan); ++c) {
+    s.share[c] = kInf;
+    s.tiny[c] = 0;
+  }
+}
+
 /// One tier group's progressive filling. `group[0..n)` all share one tier;
-/// `residual` (indexed by LinkId value) must be valid for every link the
-/// group touches and is consumed in place. The arithmetic — including the
-/// bottleneck tolerance clauses — is the original allocator's verbatim, so
-/// rates are bit-identical to the historical implementation whenever the
-/// bottleneck shares are not within one part in 10^12 of each other across
-/// components (exact ties produce the exact same share either way).
-void waterfill_group(SimFlow* const* group, std::size_t n, Rate* residual,
-                     WaterfillScratch& s) {
-  // CSR build, two passes in flow order: count flows per link, assign
-  // slices in first-touch order, fill. Iteration order over both links
-  // (s.touched) and each link's flows (csr slice) matches the old
-  // vector-of-vectors exactly.
-  s.touched.clear();
+/// `path_off[0..n]` locates their slot paths in `s.path`, and the residual
+/// of every slot they touch is read from and written back to
+/// `s.slot_residual`. The rates are bit-identical to the link-indexed
+/// reference kernel (tests/reference_waterfill.h, held to this one by
+/// tests/waterfill_kernel_test.cpp): positions follow the group's
+/// first-touch link order, weights are summed and subtracted in flow order
+/// and path order, and each round takes the same minimum and freezes links
+/// in position order. Shares are divided out only when a freeze changes
+/// them, never in the scans.
+void waterfill_group(SimFlow* const* group, const std::uint32_t* path_off,
+                     std::size_t n, WaterfillScratch& s) {
+  // Positions in first-touch order; each flow's path rewritten from slots
+  // to positions (a flow belongs to exactly one group).
+  std::uint32_t npos = 0;
   for (std::size_t i = 0; i < n; ++i) {
     SimFlow* f = group[i];
     GURITA_CHECK_MSG(!f->path.empty(), "active flow with empty path");
     GURITA_CHECK_MSG(f->weight > 0, "flow weight must be positive");
     f->rate = 0;
-    for (LinkId l : f->path) {
-      if (s.link_nflows[l.value()] == 0) s.touched.push_back(l);
-      ++s.link_nflows[l.value()];
-      s.link_weight[l.value()] += f->weight;
-      ++s.link_unfrozen[l.value()];
+    for (std::uint32_t k = path_off[i]; k < path_off[i + 1]; ++k) {
+      const std::uint32_t slot = s.path[k];
+      std::uint32_t p = s.slot_pos[slot];
+      if (p == kNoPos) {
+        p = npos++;
+        s.slot_pos[slot] = p;
+        s.pos_slot[p] = slot;
+        s.weight[p] = 0.0;
+        s.residual[p] = s.slot_residual[slot];
+        s.unfrozen[p] = 0;
+      }
+      s.path[k] = p;
+      s.weight[p] += f->weight;
+      ++s.unfrozen[p];
     }
   }
-  std::uint32_t base = 0;
-  for (LinkId l : s.touched) {
-    s.link_off[l.value()] = base;
-    s.link_cur[l.value()] = base;
-    base += s.link_nflows[l.value()];
+  // CSR: slice ends by prefix sum, then a reverse fill leaves each slice
+  // in ascending flow order with csr_off[p] at its start.
+  std::uint32_t total = 0;
+  for (std::uint32_t p = 0; p < npos; ++p) {
+    total += s.unfrozen[p];
+    s.csr_off[p] = total;
   }
-  if (s.csr.size() < base) s.csr.resize(base);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (LinkId l : group[i]->path)
-      s.csr[s.link_cur[l.value()]++] = static_cast<std::uint32_t>(i);
+  s.csr_off[npos] = total;
+  if (s.csr.size() < total) s.csr.resize(total);
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::uint32_t k = path_off[i]; k < path_off[i + 1]; ++k)
+      s.csr[--s.csr_off[s.path[k]]] = static_cast<std::uint32_t>(i);
   }
+  for (std::uint32_t p = 0; p < npos; ++p) {
+    s.scan_pos[p] = p;
+    s.scan_index[p] = p;
+    refresh_share(s, p, s.residual[p], s.weight[p]);
+  }
+  std::uint32_t nscan = npos;
+  std::uint32_t dead = 0;
+  pad_scan(s, nscan);
 
   s.frozen.assign(n, 0);
   std::size_t remaining = n;
 
-  // Progressive filling: each round finds the bottleneck share, freezes
-  // every flow crossing a bottleneck link, consumes capacity, repeats.
-  // Work per round is O(touched links + flows frozen this round), so the
-  // total is O(rounds * links + flows * path length).
-  while (remaining > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    for (LinkId l : s.touched) {
-      if (s.link_unfrozen[l.value()] == 0) continue;
-      const double w = std::max(s.link_weight[l.value()], 1e-300);
-      best_share = std::min(best_share, residual[l.value()] / w);
-    }
-    GURITA_CHECK_MSG(best_share < std::numeric_limits<double>::infinity(),
-                     "unfrozen flows but no carrying link");
-    best_share = std::max(best_share, 0.0);
-
-    // Freezing a flow preserves the share of every other link it crosses
-    // (weight and capacity leave together), so collecting the bottleneck
-    // links once per round is sound.
-    bool froze_any = false;
-    for (LinkId l : s.touched) {
-      if (s.link_unfrozen[l.value()] == 0) continue;
-      const double w = std::max(s.link_weight[l.value()], 1e-300);
-      if (residual[l.value()] / w > best_share * (1 + 1e-12) &&
-          residual[l.value()] > 1e-9)
-        continue;
-      const std::uint32_t off = s.link_off[l.value()];
-      const std::uint32_t cnt = s.link_nflows[l.value()];
-      for (std::uint32_t k = 0; k < cnt; ++k) {
-        const std::uint32_t idx = s.csr[off + k];
-        if (s.frozen[idx]) continue;
-        SimFlow* f = group[idx];
-        f->rate = f->weight * best_share;
-        s.frozen[idx] = 1;
-        froze_any = true;
-        --remaining;
-        for (LinkId pl : f->path) {
-          s.link_weight[pl.value()] -= f->weight;
-          --s.link_unfrozen[pl.value()];
-          residual[pl.value()] -= f->rate;
-          if (residual[pl.value()] < 0) residual[pl.value()] = 0;
+  // Freezes every unfrozen flow crossing position `p` at `share` and
+  // consumes its capacity along its path, refreshing the cached share of
+  // each link it changes (+inf once the link has no unfrozen flow left).
+  const auto freeze_link = [&](std::uint32_t p, double share) {
+    for (std::uint32_t k = s.csr_off[p]; k < s.csr_off[p + 1]; ++k) {
+      const std::uint32_t idx = s.csr[k];
+      if (s.frozen[idx]) continue;
+      SimFlow* f = group[idx];
+      const double w = f->weight;
+      const Rate rate = w * share;
+      f->rate = rate;
+      s.frozen[idx] = 1;
+      --remaining;
+      for (std::uint32_t e = path_off[idx]; e < path_off[idx + 1]; ++e) {
+        const std::uint32_t q = s.path[e];
+        s.weight[q] -= w;
+        Rate r = s.residual[q] - rate;
+        if (r < 0) r = 0;
+        s.residual[q] = r;
+        const std::uint32_t c = s.scan_index[q];
+        if (--s.unfrozen[q] == 0) {
+          s.share[c] = kInf;
+          s.tiny[c] = 0;
+          ++dead;
+        } else {
+          refresh_share(s, c, r, s.weight[q]);
         }
       }
     }
+  };
+
+  // Progressive filling: each round finds the bottleneck share, freezes
+  // every flow crossing a bottleneck link, consumes capacity, repeats.
+  while (remaining > 0) {
+    double best_share = min_share(s.share.data(), padded(nscan));
+    GURITA_CHECK_MSG(best_share < kInf, "unfrozen flows but no carrying link");
+    best_share = std::max(best_share, 0.0);
+    const double threshold = best_share * (1 + 1e-12);
+
+    // Links are tested in scan order against their current share, so a
+    // freeze earlier in this pass is seen by every later link. A block is
+    // skipped whole only when none of its links passes: nothing can freeze
+    // between that test and the visits it stands for. Dead links and
+    // padding read +inf and never pass.
+    const std::size_t before = remaining;
+    for (std::uint32_t b = 0; b < nscan; b += kLanes) {
+      bool any = false;
+      for (std::uint32_t c = b; c < b + kLanes; ++c)
+        any |= !(s.share[c] > threshold) | (s.tiny[c] != 0);
+      if (!any) continue;
+      for (std::uint32_t c = b; c < b + kLanes; ++c) {
+        if (s.share[c] > threshold && !s.tiny[c]) continue;
+        freeze_link(s.scan_pos[c], best_share);
+      }
+    }
+    const bool froze_any = remaining < before;
     GURITA_CHECK_MSG(froze_any, "waterfill failed to make progress");
+
+    // Drop saturated links from the scans once a quarter are dead; order
+    // is preserved, so the minimum and the freeze order are unchanged.
+    if (dead * 4 > nscan) {
+      std::uint32_t live = 0;
+      for (std::uint32_t c = 0; c < nscan; ++c) {
+        const std::uint32_t p = s.scan_pos[c];
+        if (s.unfrozen[p] == 0) continue;
+        s.share[live] = s.share[c];
+        s.tiny[live] = s.tiny[c];
+        s.scan_pos[live] = p;
+        s.scan_index[p] = live;
+        ++live;
+      }
+      nscan = live;
+      dead = 0;
+      pad_scan(s, nscan);
+    }
   }
 
-  // Reset the per-link accumulators for the next group. link_weight can
-  // carry a floating-point residue from the subtractions above; zero it.
-  for (LinkId l : s.touched) {
-    s.link_weight[l.value()] = 0.0;
-    s.link_unfrozen[l.value()] = 0;
-    s.link_nflows[l.value()] = 0;
+  for (std::uint32_t p = 0; p < npos; ++p) {
+    const std::uint32_t slot = s.pos_slot[p];
+    s.slot_residual[slot] = s.residual[p];
+    s.slot_pos[slot] = kNoPos;
   }
-  s.touched.clear();
 }
 
 }  // namespace
@@ -143,27 +277,17 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
                      WaterfillScratch& scratch) {
   scratch.ensure(topo.link_count());
-  // Residual capacity, initialized lazily for just this component's links
-  // and carried across its tier groups (SPQ: lower tiers consume first).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (LinkId l : flows[i]->path) {
-      if (scratch.residual_init[l.value()]) continue;
-      scratch.residual_init[l.value()] = 1;
-      scratch.residual[l.value()] = capacities[l.value()];
-      scratch.residual_links.push_back(l);
-    }
-  }
+  // Residual capacity per slot, carried across the component's tier
+  // groups (SPQ: lower tiers consume first).
+  map_slots(flows, n, capacities.data(), scratch);
   std::size_t i = 0;
   while (i < n) {
     const std::size_t start = i;
     const Tier tier = flows[i]->tier;
     while (i < n && flows[i]->tier == tier) ++i;
-    waterfill_group(flows + start, i - start, scratch.residual.data(),
-                    scratch);
+    waterfill_group(flows + start, scratch.path_off.data() + start,
+                    i - start, scratch);
   }
-  for (LinkId l : scratch.residual_links)
-    scratch.residual_init[l.value()] = 0;
-  scratch.residual_links.clear();
 }
 
 void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
@@ -172,7 +296,13 @@ void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
                    "residual vector must cover every link");
   WaterfillScratch scratch;
   scratch.ensure(topo.link_count());
-  waterfill_group(group.data(), group.size(), residual.data(), scratch);
+  map_slots(group.data(), group.size(), residual.data(), scratch);
+  waterfill_group(group.data(), scratch.path_off.data(), group.size(),
+                  scratch);
+  for (const SimFlow* f : group) {
+    for (LinkId l : f->path)
+      residual[l.value()] = scratch.slot_residual[scratch.link_slot[l.value()]];
+  }
 }
 
 namespace {
@@ -281,8 +411,7 @@ void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
   stats_ = AllocStats{};
   const std::size_t links = topo->link_count();
   head_.assign(links, kNil);
-  link_dirty_.assign(links, 0);
-  link_claimed_.assign(links, 0);
+  link_mark_.assign(links, 0);
   dirty_list_.clear();
   claimed_links_.clear();
   ent_flow_.clear();
@@ -295,7 +424,6 @@ void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
   old_rate_.clear();
   flow_mark_.clear();
   affected_.clear();
-  component_.clear();
   if (kind_ == AllocatorKind::kOracle) return;
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
@@ -319,8 +447,8 @@ void RateAllocator::ensure_flow(std::size_t fid) {
 
 void RateAllocator::dirty_link(LinkId link) {
   if (kind_ == AllocatorKind::kOracle) return;
-  if (link_dirty_[link.value()]) return;
-  link_dirty_[link.value()] = 1;
+  if (link_mark_[link.value()] != 0) return;
+  link_mark_[link.value()] = kDirty;
   dirty_list_.push_back(link);
 }
 
@@ -381,7 +509,7 @@ void RateAllocator::touch_flow(SimFlow* flow) {
 void RateAllocator::rebuild(const std::vector<SimFlow*>& active) {
   if (kind_ == AllocatorKind::kOracle) return;
   std::fill(head_.begin(), head_.end(), kNil);
-  std::fill(link_dirty_.begin(), link_dirty_.end(), 0);
+  std::fill(link_mark_.begin(), link_mark_.end(), 0);
   dirty_list_.clear();
   ent_flow_.clear();
   ent_next_.clear();
@@ -417,79 +545,70 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
         for (LinkId l : f->path) dirty_link(l);
       }
     }
-    // Frontier closure: a dirty link re-solves its flows; a re-solved flow
-    // re-solves every link it crosses (its share there may shift). The
-    // fixpoint is the union of the link-connected components containing
-    // any seed — exactly the set whose rates can legally change.
-    for (std::size_t i = 0; i < dirty_list_.size(); ++i) {
-      const std::size_t l = dirty_list_[i].value();
+  }
+
+  obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
+  // One pass over the frontier: each dirty link no earlier search reached
+  // seeds a breadth-first search over the link <-> flow membership lists
+  // (claimed_links_ is its queue). The search claims its whole component
+  // — every flow whose rate can legally change with that link — records
+  // the flows' old rates, then the component is sorted and re-solved with
+  // the shared kernel at once. The union of the components is the
+  // fixpoint of the dirty-link closure.
+  for (LinkId seed : dirty_list_) {
+    if (link_mark_[seed.value()] == kClaimed) continue;
+    link_mark_[seed.value()] = kClaimed;
+    std::size_t queue = claimed_links_.size();
+    claimed_links_.push_back(seed);
+    const std::size_t begin = affected_.size();
+    for (; queue < claimed_links_.size(); ++queue) {
+      const std::size_t l = claimed_links_[queue].value();
       for (std::int32_t e = head_[l]; e != kNil; e = ent_next_[e]) {
         SimFlow* f = ent_flow_[e];
         const std::size_t fid = f->id.value();
-        if (flow_mark_[fid] != 0) continue;
+        if (flow_mark_[fid]) continue;
         flow_mark_[fid] = 1;
         old_rate_[fid] = f->rate;
         affected_.push_back(f);
-        for (LinkId pl : f->path) dirty_link(pl);
-      }
-    }
-    stats_.dirty_links += dirty_list_.size();
-    stats_.flows_solved += affected_.size();
-  }
-
-  {
-    obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
-    // Split the affected set into its components (the closure above pulled
-    // in every member of each) and re-solve each with the shared kernel.
-    for (SimFlow* seed : affected_) {
-      if (flow_mark_[seed->id.value()] != 1) continue;
-      component_.clear();
-      component_.push_back(seed);
-      flow_mark_[seed->id.value()] = 2;
-      for (std::size_t i = 0; i < component_.size(); ++i) {
-        for (LinkId l : component_[i]->path) {
-          if (link_claimed_[l.value()]) continue;
-          link_claimed_[l.value()] = 1;
-          claimed_links_.push_back(l);
-          for (std::int32_t e = head_[l.value()]; e != kNil;
-               e = ent_next_[e]) {
-            SimFlow* f = ent_flow_[e];
-            if (flow_mark_[f->id.value()] != 1) continue;
-            flow_mark_[f->id.value()] = 2;
-            component_.push_back(f);
-          }
+        for (LinkId pl : f->path) {
+          if (link_mark_[pl.value()] == kClaimed) continue;
+          link_mark_[pl.value()] = kClaimed;
+          claimed_links_.push_back(pl);
         }
       }
-      std::sort(component_.begin(), component_.end(),
-                [](const SimFlow* a, const SimFlow* b) {
-                  if (a->tier != b->tier) return a->tier < b->tier;
-                  return a->id < b->id;
-                });
-      solve_component(*topo_, component_.data(), component_.size(),
-                      capacities, scratch_);
-      ++stats_.components_solved;
-      stats_.component_flows.add(static_cast<double>(component_.size()));
     }
-
-    // Changed flows, in active order — the exact list (content and order)
-    // the oracle reports: an unaffected flow's cached rate is bitwise what
-    // a re-solve would produce, so it cannot have "changed".
-    if (changed != nullptr) {
-      changed->clear();
-      for (SimFlow* f : active) {
-        const std::size_t fid = f->id.value();
-        if (flow_mark_[fid] != 0 && f->rate != old_rate_[fid])
-          changed->push_back(RateChange{f, old_rate_[fid]});
-      }
-    }
-
-    for (const SimFlow* f : affected_) flow_mark_[f->id.value()] = 0;
-    affected_.clear();
-    for (LinkId l : claimed_links_) link_claimed_[l.value()] = 0;
-    claimed_links_.clear();
-    for (LinkId l : dirty_list_) link_dirty_[l.value()] = 0;
-    dirty_list_.clear();
+    if (affected_.size() == begin) continue;  // a link no flow crosses
+    SimFlow** comp = affected_.data() + begin;
+    const std::size_t size = affected_.size() - begin;
+    std::sort(comp, comp + size, [](const SimFlow* a, const SimFlow* b) {
+      if (a->tier != b->tier) return a->tier < b->tier;
+      return a->id < b->id;
+    });
+    solve_component(*topo_, comp, size, capacities, scratch_);
+    ++stats_.components_solved;
+    stats_.component_flows.add(static_cast<double>(size));
   }
+  stats_.dirty_links += claimed_links_.size();
+  stats_.flows_solved += affected_.size();
+
+  // Changed flows, in active order — the exact list (content and order)
+  // the oracle reports: an unaffected flow's cached rate is bitwise what
+  // a re-solve would produce, so it cannot have "changed".
+  if (changed != nullptr) {
+    changed->clear();
+    for (SimFlow* f : active) {
+      const std::size_t fid = f->id.value();
+      if (flow_mark_[fid] && f->rate != old_rate_[fid])
+        changed->push_back(RateChange{f, old_rate_[fid]});
+    }
+  }
+
+  for (const SimFlow* f : affected_) flow_mark_[f->id.value()] = 0;
+  affected_.clear();
+  // Every seed was claimed, so clearing the claimed links clears them all.
+  for (LinkId l : claimed_links_) link_mark_[l.value()] = 0;
+  claimed_links_.clear();
+  dirty_list_.clear();
 }
 
 namespace {
@@ -502,11 +621,13 @@ std::size_t vec_bytes(const std::vector<T>& v) {
 }  // namespace
 
 std::size_t WaterfillScratch::memory_bytes() const {
-  return vec_bytes(link_weight) + vec_bytes(link_unfrozen) +
-         vec_bytes(link_nflows) + vec_bytes(link_off) + vec_bytes(link_cur) +
-         vec_bytes(csr) + vec_bytes(touched) + vec_bytes(frozen) +
-         vec_bytes(residual) + vec_bytes(residual_init) +
-         vec_bytes(residual_links);
+  return vec_bytes(link_slot) + vec_bytes(link_stamp) +
+         vec_bytes(slot_residual) + vec_bytes(slot_pos) +
+         vec_bytes(path_off) + vec_bytes(path) + vec_bytes(frozen) +
+         vec_bytes(pos_slot) + vec_bytes(weight) + vec_bytes(residual) +
+         vec_bytes(unfrozen) + vec_bytes(csr_off) + vec_bytes(csr) +
+         vec_bytes(scan_index) + vec_bytes(share) + vec_bytes(tiny) +
+         vec_bytes(scan_pos);
 }
 
 std::size_t RateAllocator::memory_bytes() const {
@@ -514,9 +635,8 @@ std::size_t RateAllocator::memory_bytes() const {
          vec_bytes(ent_prev_) + vec_bytes(slot_offset_) + vec_bytes(in_) +
          vec_bytes(tier_mirror_) + vec_bytes(weight_mirror_) +
          vec_bytes(old_rate_) + vec_bytes(flow_mark_) +
-         vec_bytes(link_dirty_) + vec_bytes(dirty_list_) +
-         vec_bytes(affected_) + vec_bytes(component_) +
-         vec_bytes(link_claimed_) + vec_bytes(claimed_links_) +
+         vec_bytes(link_mark_) + vec_bytes(dirty_list_) +
+         vec_bytes(claimed_links_) + vec_bytes(affected_) +
          scratch_.memory_bytes();
 }
 

@@ -25,9 +25,9 @@
 //     byte-identical to (DESIGN.md §13).
 //   * RateAllocator — the *incremental* allocator the engine uses by
 //     default: event hooks (flow add/remove, link capacity change, priority
-//     change) seed a dirty-link frontier; allocate() closes the frontier
-//     over shared-bottleneck dependencies and re-solves only the affected
-//     components. Unaffected flows keep their cached rates, which purity
+//     change) seed a dirty-link frontier; allocate() re-solves only the
+//     link-connected components that contain a dirty link. Unaffected
+//     flows keep their cached rates, which purity
 //     (rates are a function of (component flows, tiers, weights, caps)
 //     only) guarantees are the bits a full re-solve would produce.
 #pragma once
@@ -74,7 +74,7 @@ struct AllocStats {
   std::uint64_t allocations = 0;       ///< allocate() calls
   std::uint64_t flows_solved = 0;      ///< flows passed through the kernel
   std::uint64_t components_solved = 0; ///< components re-converged
-  std::uint64_t dirty_links = 0;       ///< frontier size after closure
+  std::uint64_t dirty_links = 0;       ///< links the frontier BFS claimed
   /// Distribution of re-converged component sizes (flows per
   /// solve_component call), log2-bucketed. Like the counters above this is
   /// diagnostic only — it surfaces through the --diagnostics export, never
@@ -92,25 +92,41 @@ struct AllocStats {
   }
 };
 
-/// Reusable scratch for the water-filling kernel: per-link accumulators
-/// (sized to the topology, reset via touched-link lists so a solve costs
-/// O(component), not O(links)) plus the CSR flow-list arrays that replace
-/// the old per-link node containers.
+/// Reusable scratch for the water-filling kernel (DESIGN.md §13). Only
+/// the stamped link -> slot map is sized to the topology (8 B/link); every
+/// other array is indexed densely and sized to the largest component or
+/// tier group solved so far, so a solve costs O(component), not O(links).
+///
+/// Three index spaces: a component's links get *slots* in first-touch
+/// order; each tier group numbers the slots it uses as *positions*, again
+/// in first-touch order; and the bottleneck scans run over *scan* indices,
+/// the live positions in position order, compacted as links saturate.
 struct WaterfillScratch {
-  std::vector<double> link_weight;         ///< sum of unfrozen weights
-  std::vector<std::uint32_t> link_unfrozen;///< count of unfrozen flows
-  std::vector<std::uint32_t> link_nflows;  ///< CSR: flows crossing the link
-  std::vector<std::uint32_t> link_off;     ///< CSR: slice start in `csr`
-  std::vector<std::uint32_t> link_cur;     ///< CSR: fill cursor
-  std::vector<std::uint32_t> csr;          ///< flow indices, link-major
-  std::vector<LinkId> touched;             ///< links used by this group
-  std::vector<char> frozen;                ///< per-flow freeze bit
-  std::vector<Rate> residual;              ///< per-link residual capacity
-  std::vector<char> residual_init;         ///< residual[l] is initialized
-  std::vector<LinkId> residual_links;      ///< links with residual_init set
+  // Per topology link.
+  std::vector<std::uint32_t> link_slot;  ///< slot, valid if link_stamp == stamp
+  std::vector<std::uint32_t> link_stamp; ///< solve that assigned link_slot
+  // Per component slot.
+  std::vector<Rate> slot_residual;       ///< residual, carried across tiers
+  std::vector<std::uint32_t> slot_pos;   ///< position in the current group
+  // Per component flow.
+  std::vector<std::uint32_t> path_off;   ///< flow i: path[off[i], off[i+1])
+  std::vector<std::uint32_t> path;       ///< slots, then group positions
+  std::vector<char> frozen;              ///< per-flow freeze bit (one group)
+  // Per group position.
+  std::vector<std::uint32_t> pos_slot;   ///< position -> slot
+  std::vector<double> weight;            ///< sum of unfrozen weights
+  std::vector<Rate> residual;            ///< residual capacity
+  std::vector<std::uint32_t> unfrozen;   ///< count of unfrozen flows
+  std::vector<std::uint32_t> csr_off;    ///< CSR: slice [off[p], off[p+1])
+  std::vector<std::uint32_t> csr;        ///< flow indices, position-major
+  std::vector<std::uint32_t> scan_index; ///< position -> scan index
+  // Per scan index.
+  std::vector<double> share;             ///< residual/weight, +inf if dead
+  std::vector<char> tiny;                ///< residual <= 1e-9
+  std::vector<std::uint32_t> scan_pos;   ///< scan index -> position
+  std::uint32_t stamp = 0;               ///< current solve's link stamp
 
-  /// Sizes the per-link arrays for `links`; values are maintained by the
-  /// kernel's touched-list resets, so this is cheap after the first call.
+  /// Sizes the per-link slot map for `links`; cheap after the first call.
   void ensure(std::size_t links);
 
   /// Reserved bytes across all scratch arrays (obs/memory.h accounting).
@@ -160,10 +176,11 @@ void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
 /// flow arrival/finish/abort (add_flow/remove_flow), link capacity changes
 /// (dirty_link) and direct rate caps (touch_flow); scheduler priority
 /// rewrites are caught by allocate()'s tier/weight mirror scan. allocate()
-/// then closes the dirty-link frontier over the link <-> flow adjacency
-/// (flat SoA membership lists), re-solves only the affected components with
-/// the shared kernel, and reports exactly the flows whose rate moved — in
-/// active-list order, bitwise identical to what the oracle would report.
+/// then grows one breadth-first search over the link <-> flow adjacency
+/// (flat SoA membership lists) from each dirty link no earlier search
+/// reached, solves each component so found with the shared kernel, and
+/// reports exactly the flows whose rate moved — in active-list order,
+/// bitwise identical to what the oracle would report.
 ///
 /// In AllocatorKind::kOracle mode every hook is a no-op and allocate()
 /// delegates to allocate_rates(), which is what makes the two engines
@@ -210,8 +227,8 @@ class RateAllocator {
   void dirty_link(LinkId link);
 
   /// Recomputes rates. Incremental mode: mirror-scans `active` for
-  /// tier/weight changes, closes the dirty frontier, re-solves affected
-  /// components, and fills `changed` (cleared first) with the flows whose
+  /// tier/weight changes, re-solves every component a dirty link touches,
+  /// and fills `changed` (cleared first) with the flows whose
   /// rate moved, in `active` order — the same list allocate_rates() would
   /// produce. Oracle mode: delegates to allocate_rates(). `profiler` (may
   /// be null) receives the kAllocFrontier / kAllocConverge sub-phases.
@@ -250,16 +267,17 @@ class RateAllocator {
   std::vector<char> in_;                 ///< currently a member
   std::vector<Tier> tier_mirror_;        ///< tier at last allocation
   std::vector<double> weight_mirror_;    ///< weight at last allocation
-  std::vector<Rate> old_rate_;           ///< rate when marked affected
-  std::vector<std::uint8_t> flow_mark_;  ///< 0 clean / 1 affected / 2 claimed
+  std::vector<Rate> old_rate_;           ///< rate when claimed by a BFS
+  std::vector<char> flow_mark_;          ///< claimed by this allocation
 
   // --- dirty frontier + per-allocation worklists ---
-  std::vector<char> link_dirty_;         ///< link is in dirty_list_
-  std::vector<LinkId> dirty_list_;
-  std::vector<SimFlow*> affected_;       ///< closure of the frontier
-  std::vector<SimFlow*> component_;      ///< one component, sorted (tier,id)
-  std::vector<char> link_claimed_;       ///< link visited by component BFS
-  std::vector<LinkId> claimed_links_;
+  static constexpr char kDirty = 1;      ///< link_mark_: in dirty_list_
+  static constexpr char kClaimed = 2;    ///< link_mark_: visited by a BFS
+  std::vector<char> link_mark_;          ///< 0, kDirty or kClaimed
+  std::vector<LinkId> dirty_list_;       ///< seeds, in dirtying order
+  std::vector<LinkId> claimed_links_;    ///< BFS queue; all claimed links
+  std::vector<SimFlow*> affected_;       ///< claimed flows, one component
+                                         ///< after another
 
   WaterfillScratch scratch_;
 };

@@ -42,8 +42,10 @@ enum class Phase : int {
   kTick = 7,            ///< Scheduler::on_tick coordination rounds
   kResults = 8,         ///< end-of-run result assembly
   kFault = 9,           ///< fault application, aborts, retries (fault/)
-  kAllocFrontier = 10,  ///< incremental allocator: mirror scan + closure
-  kAllocConverge = 11,  ///< water-filling kernel over affected components
+  kAllocFrontier = 10,  ///< incremental allocator: tier/weight mirror scan
+  kAllocConverge = 11,  ///< frontier search + water-filling kernel per
+                        ///< affected component + changed list (the whole
+                        ///< allocation under the oracle)
   kSampling = 12,       ///< interval sampler polls (obs/sampler.h)
 };
 
