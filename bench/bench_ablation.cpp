@@ -31,13 +31,14 @@ struct Variant {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 250);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int jobs = resolve_jobs(args);
+  args.reject_unread();
 
   ExperimentConfig config =
       trace_scenario(StructureKind::kTpcDs, num_jobs, seed);
@@ -109,4 +110,7 @@ int main(int argc, char** argv) {
                TextTable::num(avg_jct[i] / base_jct)});
   std::cout << t.to_string() << std::endl;
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_ablation: " << e.what() << "\n";
+  return 2;
 }

@@ -366,7 +366,7 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -380,6 +380,7 @@ int main(int argc, char** argv) {
   const int guard_trials = args.get_int("overhead-trials", 5);
   const std::string allocator_arg = args.get_string("allocator", "both");
   const double allocator_guard = args.get_double("allocator-guard", 0.0);
+  args.reject_unread();
 
   std::vector<AllocatorKind> kinds;
   if (allocator_arg == "both")
@@ -455,4 +456,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << out_path << "\n";
   return guard.breached || alloc_guard.breached ? 1 : 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_engine: " << e.what() << "\n";
+  return 2;
 }

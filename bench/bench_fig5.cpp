@@ -56,7 +56,7 @@ std::string cell(const ComparisonResult& result, const std::string& other) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
     run.config.obs = obs_options;
     apply_checkpoint_flags(args, run.config);
   }
+  args.reject_unread();
 
   ThreadPool::Stats pool_stats;
   std::vector<ComparisonResult> results;
@@ -174,4 +175,7 @@ int main(int argc, char** argv) {
               << total.to_table();
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig5: " << e.what() << "\n";
+  return 2;
 }

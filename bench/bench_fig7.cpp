@@ -44,7 +44,7 @@ void print_panel(const std::string& title, const ComparisonResult& result,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   const int pods = args.get_int("pods", 8);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int jobs = resolve_jobs(args);
+  args.reject_unread();
 
   std::vector<std::string> all = kOthers;
   all.push_back("gurita");
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i)
     print_panel(runs[i].label, results[i], num_jobs, seed, pods);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig7: " << e.what() << "\n";
+  return 2;
 }

@@ -43,13 +43,14 @@ void print_panel(const std::string& title, const ComparisonResult& result,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 300);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int jobs = resolve_jobs(args);
+  args.reject_unread();
 
   std::vector<ExperimentRun> runs;
   runs.push_back({"Fig 8(a): FB-Tao structure",
@@ -65,4 +66,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i)
     print_panel(runs[i].label, results[i], num_jobs, seed);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig8: " << e.what() << "\n";
+  return 2;
 }

@@ -65,7 +65,7 @@ GapReport network_gap(const std::string& label, StructureKind structure,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
   const int network_jobs = args.get_int("network-jobs", 80);
   const std::uint64_t network_seed = args.get_u64("network-seed", 7);
   const std::string json_path = args.get_string("json", "");
+  args.reject_unread();
 
   Rng rng(seed);
   RunningStats fifo_ratio, tbs_ratio, greedy_ratio;
@@ -176,4 +177,7 @@ int main(int argc, char** argv) {
 
   if (!anchor_ok || !gaps_sound) return 1;
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_optimality: " << e.what() << "\n";
+  return 2;
 }

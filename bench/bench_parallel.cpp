@@ -120,7 +120,7 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -131,6 +131,9 @@ int main(int argc, char** argv) {
       parse_jobs_list(args.get_string("jobs-list", "1,2,4,8"));
   const std::string out_path = args.get_string("out", "BENCH_parallel.json");
   const bool profile = args.get_bool("profile", false);
+  const bool speedup_guard = args.has("speedup-guard");
+  const double guard = args.get_double("speedup-guard", 0.0);
+  args.reject_unread();
 
   SweepSpec sweep;
   sweep.experiment = "bench_parallel";
@@ -183,12 +186,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (args.has("speedup-guard")) {
+  if (speedup_guard) {
     // Guard on the largest worker count's speedup, with the bar scaled to
     // the machine: a 4-core CI runner cannot reach 4x, so it is held to
     // 4 * (4/8) = 2x instead. Below 2 hardware threads there is no
     // parallelism to measure — skip rather than fail.
-    const double guard = args.get_double("speedup-guard", 0.0);
     const int hw = ThreadPool::hardware_threads();
     const BenchRow& widest = *std::max_element(
         rows.begin(), rows.end(),
@@ -209,4 +211,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_parallel: " << e.what() << "\n";
+  return 2;
 }

@@ -68,7 +68,7 @@ std::string factor_label(double factor) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
   base.faults.plan.state_loss_rate = 0.5;
   apply_fault_flags(args, base);
   apply_checkpoint_flags(args, base);
+  args.reject_unread();
 
   const std::vector<std::string> schedulers = {"gurita", "gurita_plus", "aalo",
                                                "baraat", "varys"};
@@ -217,4 +218,7 @@ int main(int argc, char** argv) {
               << " (load at ui.perfetto.dev)\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_resilience: " << e.what() << "\n";
+  return 2;
 }

@@ -133,6 +133,7 @@ int run(const Args& args) {
   const std::string json_path = args.get_string("json", "");
 
   DaemonOptions options = options_from_args(args);
+  args.reject_unread();
   const std::string scheduler = options.scheduler;
   install_signal_handlers();
 

@@ -54,7 +54,7 @@ std::string results_bytes(const SimResults& results) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const bool guard = args.get_bool("guard", false);
   const double guard_threshold = args.get_double("guard-threshold", 0.05);
   const std::string json_path = args.get_string("json", "");
+  args.reject_unread();
   GURITA_CHECK_MSG(checkpoints >= 1, "--checkpoints must be >= 1");
   GURITA_CHECK_MSG(reps >= 1, "--reps must be >= 1");
 
@@ -204,4 +205,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_snapshot: " << e.what() << "\n";
+  return 2;
 }

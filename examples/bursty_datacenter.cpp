@@ -12,13 +12,14 @@
 #include "metrics/report.h"
 #include "sched/stream.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
   const int jobs_n = args.get_int("num-jobs", 200);
   const std::uint64_t seed = args.get_u64("seed", 3);
   const int pods = args.get_int("pods", 8);
+  args.reject_unread();
 
   ExperimentConfig config =
       bursty_scenario(StructureKind::kFbTao, jobs_n, seed, pods);
@@ -73,4 +74,7 @@ int main(int argc, char** argv) {
                "heaviest tail."
             << std::endl;
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bursty_datacenter: " << e.what() << "\n";
+  return 2;
 }

@@ -18,7 +18,7 @@
 #include "metrics/report.h"
 #include "workload/trace_io.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gurita;
   const Args args(argc, argv);
   apply_log_level(args);
@@ -33,6 +33,14 @@ int main(int argc, char** argv) {
   config.trace.structure =
       structure_from_string(args.get_string("structure", "mixed"));
   const std::string arrivals = args.get_string("arrivals", "poisson");
+  // Optional paths: a bare flag reads as an empty path and fails loudly.
+  const bool load = args.has("load-trace");
+  const std::string load_path = args.get_string("load-trace", "");
+  const bool save = args.has("save-trace");
+  const std::string save_path = args.get_string("save-trace", "");
+  const bool write_csv = args.has("csv-out");
+  const std::string csv_path = args.get_string("csv-out", "");
+  args.reject_unread();
   if (arrivals == "bursty") {
     config.trace.arrivals = ArrivalPattern::kBursty;
   } else if (arrivals == "poisson") {
@@ -46,16 +54,15 @@ int main(int argc, char** argv) {
   config.trace.num_hosts = fabric.num_hosts();
 
   std::vector<JobSpec> jobs;
-  if (args.has("load-trace")) {
-    jobs = load_trace(args.get_string("load-trace", ""));
+  if (load) {
+    jobs = load_trace(load_path);
     std::cout << "loaded " << jobs.size() << " jobs from trace\n";
   } else {
     jobs = generate_trace(config.trace);
   }
-  if (args.has("save-trace")) {
-    save_trace(args.get_string("save-trace", ""), jobs);
-    std::cout << "saved " << jobs.size() << " jobs to "
-              << args.get_string("save-trace", "") << "\n";
+  if (save) {
+    save_trace(save_path, jobs);
+    std::cout << "saved " << jobs.size() << " jobs to " << save_path << "\n";
   }
 
   const auto scheduler = make_scheduler(scheduler_name);
@@ -92,9 +99,8 @@ int main(int argc, char** argv) {
   }
   std::cout << by_cat.to_string();
 
-  if (args.has("csv-out")) {
-    const std::string path = args.get_string("csv-out", "");
-    write_file_atomic(path, /*binary=*/false, [&](std::ostream& csv) {
+  if (write_csv) {
+    write_file_atomic(csv_path, /*binary=*/false, [&](std::ostream& csv) {
       csv << "job,arrival,finish,jct,total_bytes,category,stages,slowdown\n";
       for (std::size_t i = 0; i < results.jobs.size(); ++i) {
         const auto& j = results.jobs[i];
@@ -104,7 +110,10 @@ int main(int argc, char** argv) {
             << "," << slowdowns[i] << "\n";
       }
     });
-    std::cout << "\nper-job results written to " << path << "\n";
+    std::cout << "\nper-job results written to " << csv_path << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "gurita_sim: " << e.what() << "\n";
+  return 2;
 }

@@ -52,7 +52,8 @@ SAMPLE_NUM_FIELDS = ("events", "events_per_sec", "calendar", "flow_touches",
 MEM_SAMPLE_FIELDS = ("state_bytes", "calendar_bytes", "retry_bytes",
                      "trace_bytes", "active_set_bytes", "total_bytes")
 WALL_SAMPLE_FIELDS = ("wall_ms", "events", "events_per_wall_sec")
-# FaultKind enum range (fault/fault.h).
+# FaultKind values that emit a "fault" record (fault/fault.h): every kind
+# but kLinkCapacity (7), which emits a "capacity_change" record instead.
 NUM_FAULT_KINDS = 7
 # QueueChangeCause::kHrDecision — the cause whose records must carry the
 # full Psi breakdown (obs/trace.h).

@@ -27,9 +27,10 @@
 //
 // Both bounds survive restriction to any job subset (serving fewer jobs is
 // a relaxation), which yields per-category and per-class bounds, and both
-// assume *nominal* port capacity — faults, TCP ramp-up and degrading
-// disruptions only slow a run down, so soundness is preserved (a
-// capacity-raising disruption would break it; none exists in this repo).
+// assume *nominal* port capacity — faults, TCP ramp-up and kLinkCapacity
+// degradations only slow a run down, so soundness is preserved. A capacity
+// above nominal would break it; validate_fault_plan (fault/validation.h)
+// rejects any kLinkCapacity factor outside [0, 1].
 //
 // The module also builds an *achievable* reference schedule in the spirit
 // of Shafiee–Ghaderi's primal–dual permutation (arXiv 2012.11702): jobs are

@@ -1,6 +1,5 @@
 #include "exp/args.h"
 
-#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -100,22 +99,28 @@ Args::Args(int argc, char** argv) {
     throw ConfigError("duplicate command-line flags", std::move(duplicates));
 }
 
-bool Args::has(const std::string& key) const { return values_.count(key) > 0; }
+const std::string* Args::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
 
-std::vector<std::string> Args::keys_with_prefix(
-    const std::string& prefix) const {
-  std::vector<std::string> keys;
-  for (auto it = values_.lower_bound(prefix);
-       it != values_.end() && it->first.rfind(prefix, 0) == 0; ++it)
-    keys.push_back(it->first);
-  return keys;
+bool Args::has(const std::string& key) const { return find(key) != nullptr; }
+
+void Args::reject_unread() const {
+  std::vector<ConfigError::Issue> issues;
+  for (const auto& [key, value] : values_)
+    if (read_.count(key) == 0)
+      issues.push_back({"--" + key, "unknown flag, or not used by this run"});
+  if (!issues.empty())
+    throw ConfigError("unknown command-line flags", std::move(issues));
 }
 
 int Args::get_int(const std::string& key, int fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   try {
-    return parse_int_strict(it->second);
+    return parse_int_strict(*value);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("flag --" + key + ": " + e.what());
   }
@@ -123,20 +128,20 @@ int Args::get_int(const std::string& key, int fallback) const {
 
 std::uint64_t Args::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   try {
-    return parse_u64_strict(it->second);
+    return parse_u64_strict(*value);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("flag --" + key + ": " + e.what());
   }
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   try {
-    return parse_double_strict(it->second);
+    return parse_double_strict(*value);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("flag --" + key + ": " + e.what());
   }
@@ -144,14 +149,14 @@ double Args::get_double(const std::string& key, double fallback) const {
 
 std::string Args::get_string(const std::string& key,
                              const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  const std::string& v = *value;
   if (v.empty() || v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
   throw std::logic_error("flag --" + key + " wants a boolean, got " + v);
@@ -162,27 +167,6 @@ void apply_log_level(const Args& args) {
     log::set_level(log::level_from_string(args.get_string("log-level", "")));
 }
 
-namespace {
-
-/// Rejects every parsed flag in `prefix`'s namespace that is not in the
-/// `known` table — a typo like --fault-host-rat must not silently run the
-/// experiment with default rates.
-void reject_unknown_flags(const Args& args, const std::string& prefix,
-                          const std::vector<std::string>& known,
-                          const std::string& context) {
-  std::vector<ConfigError::Issue> issues;
-  for (const std::string& key : args.keys_with_prefix(prefix)) {
-    bool found = false;
-    for (const std::string& k : known) found = found || k == key;
-    if (!found)
-      issues.push_back({"--" + key, "unknown flag (known " + prefix +
-                                        "* flags are listed in exp/args.h)"});
-  }
-  if (!issues.empty()) throw ConfigError(context, std::move(issues));
-}
-
-}  // namespace
-
 void apply_fault_flags(const Args& args, ExperimentConfig& config) {
   static const char* kFlags[] = {
       "fault-host-rate",     "fault-link-rate",    "fault-straggler-rate",
@@ -190,10 +174,6 @@ void apply_fault_flags(const Args& args, ExperimentConfig& config) {
       "fault-straggle",      "fault-straggle-factor", "fault-retry",
       "fault-retry-base",    "fault-retry-multiplier", "fault-retry-max-delay",
       "fault-retry-jitter",  "fault-retry-max-attempts"};
-  reject_unknown_flags(args, "fault-",
-                       std::vector<std::string>(std::begin(kFlags),
-                                                std::end(kFlags)),
-                       "unknown fault flags");
   bool any = args.get_bool("faults", false);
   for (const char* flag : kFlags) any = any || args.has(flag);
   if (!any) return;
@@ -232,10 +212,6 @@ void apply_fault_flags(const Args& args, ExperimentConfig& config) {
 }
 
 void apply_checkpoint_flags(const Args& args, ExperimentConfig& config) {
-  reject_unknown_flags(
-      args, "checkpoint-",
-      {"checkpoint-every", "checkpoint-dir", "checkpoint-halt-after"},
-      "unknown checkpoint flags");
   if (!args.has("checkpoint-every") && !args.has("checkpoint-dir") &&
       !args.has("resume-from") && !args.has("checkpoint-halt-after"))
     return;
@@ -274,8 +250,6 @@ void apply_checkpoint_flags(const Args& args, ExperimentConfig& config) {
 }
 
 void apply_timeline_flags(const Args& args, ExperimentConfig& config) {
-  reject_unknown_flags(args, "timeline-", {"timeline-every", "timeline-wall"},
-                       "unknown timeline flags");
   ExperimentConfig::ObsOptions& obs = config.obs;
   const bool timeline = args.get_bool("timeline", false) ||
                         args.has("timeline-every") ||

@@ -1,6 +1,7 @@
 // Tiny command-line flag parser for bench binaries:
 //   ./bench_fig6 --num-jobs 300 --seed 7 --pods 8 --jobs 4
-// Unknown flags throw, so typos fail loudly.
+// Args remembers every flag the driver reads; reject_unread() then throws
+// for the rest, so typos fail loudly before any simulation starts.
 //
 // Conventions shared by every driver: `--num-jobs` sizes the workload,
 // `--seed` picks the trace seed, and `--jobs N` sets the worker-thread
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,14 +54,18 @@ class Args {
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// All parsed flag names starting with `prefix`, in sorted order. Lets
-  /// the apply_*_flags helpers reject unknown flags in their namespace
-  /// ("--fault-*", "--checkpoint-*") instead of silently ignoring typos.
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(
-      const std::string& prefix) const;
+  /// Throws ConfigError listing, in sorted order, every parsed flag that no
+  /// get_*/has call has read. A driver calls it after its last read and
+  /// before any simulation, so a mistyped or unsupported flag stops the
+  /// run instead of being silently ignored.
+  void reject_unread() const;
 
  private:
+  /// Looks `key` up and records it as read.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Applies the shared --log-level flag (debug|info|warn|error|off) to the
@@ -86,8 +92,8 @@ struct ExperimentConfig;
 ///   --fault-retry-jitter J        max jitter fraction added to each delay
 ///   --fault-retry-max-attempts N  aborts beyond this fail the job
 /// Any of these flags implies --faults. Throws std::logic_error on an
-/// unknown --fault-retry value, and ConfigError listing every "--fault-*"
-/// flag that is not in the table above (typo protection).
+/// unknown --fault-retry value; a mistyped "--fault-*" flag is left unread
+/// for Args::reject_unread.
 void apply_fault_flags(const Args& args, ExperimentConfig& config);
 
 /// Applies the shared checkpoint/resume flags to `config.checkpoint`
@@ -97,10 +103,10 @@ void apply_fault_flags(const Args& args, ExperimentConfig& config);
 ///   --resume-from D            resume from D's artifacts (implies dir D)
 ///   --checkpoint-halt-after N  crash on purpose after N snapshots (> 0);
 ///                              drivers catch HaltedError and exit 75
-/// Throws ConfigError aggregating every problem: unknown "--checkpoint-*"
-/// flags, --checkpoint-every without a directory, a non-positive cadence,
-/// --checkpoint-halt-after without --checkpoint-every, and conflicting
-/// --checkpoint-dir/--resume-from directories.
+/// Throws ConfigError aggregating every problem: --checkpoint-every without
+/// a directory, a non-positive cadence, --checkpoint-halt-after without
+/// --checkpoint-every, and conflicting --checkpoint-dir/--resume-from
+/// directories.
 void apply_checkpoint_flags(const Args& args, ExperimentConfig& config);
 
 /// Applies the shared timeline/diagnostics telemetry flags to `config.obs`
@@ -113,8 +119,7 @@ void apply_checkpoint_flags(const Args& args, ExperimentConfig& config);
 ///                         NON-deterministic, excluded from fingerprints
 ///   --diagnostics         non-deterministic run health (allocator work,
 ///                         memory peaks, pool stats) in the summary JSON
-/// Throws ConfigError on unknown "--timeline-*" flags or a non-positive
-/// cadence.
+/// Throws ConfigError on a non-positive cadence.
 void apply_timeline_flags(const Args& args, ExperimentConfig& config);
 
 }  // namespace gurita

@@ -15,6 +15,7 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kStragglerStart: return "straggler_start";
     case FaultKind::kStragglerEnd: return "straggler_end";
     case FaultKind::kSchedulerStateLoss: return "scheduler_state_loss";
+    case FaultKind::kLinkCapacity: return "link_capacity";
   }
   return "?";
 }

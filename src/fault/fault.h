@@ -23,6 +23,12 @@
 //    factor × allocation until kStragglerEnd.
 //  * kSchedulerStateLoss is delivered to the scheduler (on_fault): learned
 //    priority state is dropped and live coflows re-enter the highest queue.
+//  * kLinkCapacity sets a link to factor × its nominal capacity (degrade a
+//    link mid-run, restore it later). It aborts nothing and is not
+//    delivered to the scheduler. On a downed link it only changes the
+//    capacity the link returns at on kLinkUp. A factor of 0 models a hard
+//    failure without retry semantics: flows routed across the link can
+//    never finish and the engine's stall guard throws (no re-routing).
 #pragma once
 
 #include <cstdint>
@@ -35,20 +41,9 @@
 
 namespace gurita {
 
-/// A scheduled change to one link's capacity (failure injection: degrade a
-/// link mid-run, restore it later). A capacity of 0 models a hard failure;
-/// note flows already routed across a dead link can never finish — the
-/// engine then throws its stall guard, which is the honest outcome for a
-/// fabric without re-routing. (For faults with retry semantics use
-/// FaultEvent's kLinkDown/kLinkUp instead, which abort and re-admit flows.)
-struct CapacityChange {
-  Time time = 0;
-  LinkId link;
-  Rate new_capacity = 0;
-};
-
 /// Kind of one fault event. Down/start kinds are "faults" (delivered to
-/// Scheduler::on_fault), up/end kinds are "recoveries" (on_recover).
+/// Scheduler::on_fault), up/end kinds are "recoveries" (on_recover);
+/// kLinkCapacity is neither.
 enum class FaultKind : std::uint8_t {
   kHostDown = 0,            ///< host crashes; flows touching it abort
   kHostUp = 1,              ///< host rejoins; parked flows may retry
@@ -57,15 +52,14 @@ enum class FaultKind : std::uint8_t {
   kStragglerStart = 4,      ///< host degrades: flow rates capped at factor
   kStragglerEnd = 5,        ///< straggler window ends
   kSchedulerStateLoss = 6,  ///< scheduler control state vanishes
+  kLinkCapacity = 7,        ///< link set to factor × nominal capacity
 };
-
-inline constexpr int kNumFaultKinds = 7;
 
 /// Printable name ("host_down", "straggler_start", ...).
 [[nodiscard]] const char* fault_kind_name(FaultKind kind);
 
 /// True for the kinds delivered via Scheduler::on_recover (kHostUp,
-/// kLinkUp, kStragglerEnd); false for the on_fault kinds.
+/// kLinkUp, kStragglerEnd).
 [[nodiscard]] constexpr bool is_recovery(FaultKind kind) {
   return kind == FaultKind::kHostUp || kind == FaultKind::kLinkUp ||
          kind == FaultKind::kStragglerEnd;
@@ -73,13 +67,15 @@ inline constexpr int kNumFaultKinds = 7;
 
 /// One timed fault event. Which entity field is meaningful depends on the
 /// kind: host events use `host`, link events use `link`, straggler events
-/// use `host` + `factor`; kSchedulerStateLoss uses neither.
+/// use `host` + `factor`, kLinkCapacity uses `link` + `factor`;
+/// kSchedulerStateLoss uses neither.
 struct FaultEvent {
   Time time = 0;
   FaultKind kind = FaultKind::kHostDown;
   int host = -1;
   LinkId link;  ///< default-constructs to the invalid sentinel
   /// kStragglerStart: surviving fraction of the allocated rate, in (0, 1).
+  /// kLinkCapacity: fraction of the link's nominal capacity, in [0, 1].
   double factor = 1.0;
 };
 
@@ -124,7 +120,7 @@ struct FaultPlan {
 class ConfigError : public std::logic_error {
  public:
   struct Issue {
-    std::string where;  ///< e.g. "disruptions[3]", "fault_plan.events[0]"
+    std::string where;  ///< e.g. "fault_plan.events[0]", "--num-jobs"
     std::string what;   ///< human-readable description of the problem
   };
 

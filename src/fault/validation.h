@@ -1,6 +1,6 @@
-// Setup-time validation for disruption schedules and fault plans.
+// Setup-time validation for fault plans.
 //
-// Both validators aggregate every problem they find into one ConfigError
+// The validator aggregates every problem it finds into one ConfigError
 // instead of throwing on the first — a mis-generated plan typically has the
 // same mistake repeated, and seeing all instances at once beats a
 // fix-one-rerun loop. Called by the Simulator constructor so a bad config
@@ -8,25 +8,19 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "fault/fault.h"
 
 namespace gurita {
 
-/// Validates a CapacityChange schedule against a fabric with `link_count`
-/// links (valid ids are 0 .. link_count-1). Rejects non-finite or negative
-/// times, negative capacities and unknown links. Throws ConfigError listing
-/// every offending entry.
-void validate_capacity_changes(const std::vector<CapacityChange>& changes,
-                               std::size_t link_count);
-
 /// Validates a fault plan against a fabric with `num_hosts` hosts and
 /// `link_count` links. Beyond per-event field checks (finite time >= 0,
-/// host/link in range, straggler factor in (0, 1)) this verifies the
+/// host/link in range, straggler factor in (0, 1), kLinkCapacity factor in
+/// [0, 1] — a capacity above nominal would void the lower bounds of
+/// bound/bound.h) this verifies the
 /// down/up pairing discipline per entity in time order: a second down while
 /// already down, an up while already up, or an end-without-start are all
-/// errors. A trailing down with no recovery is allowed — it models a
+/// errors (kLinkCapacity is unpaired). A trailing down with no recovery is allowed — it models a
 /// permanent failure (affected jobs fail via retry exhaustion or stranding).
 /// Also sanity-checks the retry policy (base_delay > 0, multiplier >= 1,
 /// jitter >= 0, max_attempts >= 1). Throws ConfigError listing every issue.

@@ -222,7 +222,7 @@ class RateAllocator {
   /// caps) or differs from its pure allocation (TCP ramp / straggler
   /// windows): dirty its links so the next allocate() re-reports it.
   void touch_flow(SimFlow* flow);
-  /// The link's capacity changed (disruption, link fault): seed the
+  /// The link's capacity changed (a link fault or kLinkCapacity): seed the
   /// frontier with it.
   void dirty_link(LinkId link);
 

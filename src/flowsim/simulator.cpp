@@ -87,7 +87,6 @@ void Simulator::adopt_buffers(SimBufferPool& pool) {
   adopt_cleared(gen_, pool.gen);
   adopt_cleared(rate_changes_, pool.rate_changes);
   adopt_cleared(arrival_order_, pool.arrival_order);
-  adopt_cleared(disruptions_, pool.disruptions);
   adopt_cleared(done_, pool.done);
   adopt_cleared(capacities_, pool.capacities);
   adopt_cleared(fault_events_, pool.fault_events);
@@ -118,7 +117,6 @@ void Simulator::return_buffers(SimBufferPool& pool) {
   pool.gen = std::move(gen_);
   pool.rate_changes = std::move(rate_changes_);
   pool.arrival_order = std::move(arrival_order_);
-  pool.disruptions = std::move(disruptions_);
   pool.done = std::move(done_);
   pool.capacities = std::move(capacities_);
   pool.fault_events = std::move(fault_events_);
@@ -146,10 +144,9 @@ Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
   capacities_.resize(fabric.topology().link_count());
   for (std::size_t i = 0; i < capacities_.size(); ++i)
     capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
-  // Both schedules are validated up front (fault/validation.h) so a bad
-  // config throws a ConfigError listing every problem before any event
-  // executes — never mid-run.
-  validate_capacity_changes(config_.disruptions, capacities_.size());
+  // The plan is validated up front (fault/validation.h) so a bad config
+  // throws a ConfigError listing every problem before any event executes —
+  // never mid-run.
   validate_fault_plan(config_.faults, fabric.num_hosts(), capacities_.size());
 
   have_faults_ = !config_.faults.events.empty();
@@ -499,13 +496,6 @@ void Simulator::prepare_structures() {
   tick_ = scheduler_->tick_interval();
   GURITA_CHECK_MSG(tick_ >= 0, "negative tick interval");
 
-  // Failure injection: apply capacity changes in time order.
-  disruptions_ = config_.disruptions;
-  std::sort(disruptions_.begin(), disruptions_.end(),
-            [](const CapacityChange& a, const CapacityChange& b) {
-              return a.time < b.time;
-            });
-
   live_results_ = &results_;
 }
 
@@ -523,31 +513,11 @@ void Simulator::prepare() {
   prepare_structures();
   next_arrival_ = 0;
   next_tick_ = std::numeric_limits<Time>::infinity();
-  next_disruption_ = 0;
   iterations_ = 0;
   dirty_ = true;
   if (config_.collect_link_stats)
     results_.link_bytes.assign(fabric_->topology().link_count(), 0.0);
   if (prof != nullptr) prof->leave(setup_prev);
-}
-
-void Simulator::apply_due_disruptions() {
-  while (next_disruption_ < disruptions_.size() &&
-         disruptions_[next_disruption_].time <= now_ + kTimeEpsilon) {
-    const CapacityChange& change = disruptions_[next_disruption_++];
-    capacities_[change.link.value()] = change.new_capacity;
-    alloc_.dirty_link(change.link);
-    if (config_.trace &&
-        config_.trace->wants(obs::TraceEventKind::kCapacityChange)) {
-      obs::TraceRecord r;
-      r.kind = obs::TraceEventKind::kCapacityChange;
-      r.time = now_;
-      r.i0 = static_cast<std::int32_t>(change.link.value());
-      r.v0 = change.new_capacity;
-      config_.trace->emit(r);
-    }
-    dirty_ = true;
-  }
 }
 
 Time Simulator::next_wakeup() const {
@@ -651,10 +621,7 @@ Time Simulator::next_event() {
                               : calendar_.top().key;
   const Time t_tick =
       tick_ > 0 ? next_tick_ : std::numeric_limits<Time>::infinity();
-  const Time t_disruption = next_disruption_ < disruptions_.size()
-                                ? disruptions_[next_disruption_].time
-                                : std::numeric_limits<Time>::infinity();
-  Time t_next = std::min({t_complete, next_wakeup(), t_tick, t_disruption});
+  Time t_next = std::min({t_complete, next_wakeup(), t_tick});
   // Refresh while ramping so capped flows pick up their grown windows.
   if (ramp_due_) t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
   GURITA_CHECK_MSG(std::isfinite(t_next),
@@ -699,7 +666,6 @@ void Simulator::execute(Time t) {
         arrive_job(j);
       }
       if (tick_ > 0) next_tick_ = now_ + tick_;
-      apply_due_disruptions();
       dirty_ = true;
     }
   } else {
@@ -710,7 +676,6 @@ void Simulator::execute(Time t) {
     // (last_touched, rate) settle point; advancing the clock is O(1).
     now_ = std::max(t, now_);
     state_.now_ = now_;
-    apply_due_disruptions();
     // Faults and retries fire before completion processing: a flow whose
     // host dies at the very instant it would have finished is aborted (the
     // pop loop then discards its stale calendar entry). "Fault beats
@@ -1392,6 +1357,30 @@ void Simulator::apply_due_faults() {
 void Simulator::apply_fault(const FaultEvent& event) {
   obs::ScopedPhase phase(config_.profiler, obs::Phase::kFault);
   obs::TraceRecorder* tr = config_.trace;
+  if (event.kind == FaultKind::kLinkCapacity) {
+    // A capacity change aborts nothing and is not delivered to the
+    // scheduler. A downed link keeps capacity 0 and returns at the new
+    // value on kLinkUp.
+    const std::size_t l = event.link.value();
+    const Rate capacity =
+        fabric_->topology().link(event.link).capacity * event.factor;
+    if (link_down_[l]) {
+      saved_capacity_[l] = capacity;
+    } else {
+      capacities_[l] = capacity;
+      alloc_.dirty_link(event.link);
+    }
+    if (tr && tr->wants(obs::TraceEventKind::kCapacityChange)) {
+      obs::TraceRecord r;
+      r.kind = obs::TraceEventKind::kCapacityChange;
+      r.time = now_;
+      r.i0 = static_cast<std::int32_t>(l);
+      r.v0 = capacity;
+      tr->emit(r);
+    }
+    dirty_ = true;
+    return;
+  }
   if (tr && tr->wants(obs::TraceEventKind::kFault)) {
     obs::TraceRecord r;
     r.kind = obs::TraceEventKind::kFault;
@@ -1478,6 +1467,7 @@ void Simulator::apply_fault(const FaultEvent& event) {
       straggler_[event.host] = 1.0;
       break;
     case FaultKind::kSchedulerStateLoss:
+    case FaultKind::kLinkCapacity:  // returned above
       break;
   }
   if (is_recovery(event.kind)) {

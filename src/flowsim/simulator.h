@@ -222,11 +222,8 @@ class Simulator {
     /// Hard wall on main-loop iterations; exceeding it throws with
     /// diagnostics (live-lock guard).
     std::uint64_t max_iterations = 500'000'000;
-    /// Scheduled link-capacity changes (failure injection), any order.
-    /// Validated against the fabric at construction (fault/validation.h).
-    std::vector<CapacityChange> disruptions;
-    /// Fault plan (host crashes, link flaps, stragglers, scheduler-state
-    /// loss) with abort/retry semantics — see fault/fault.h. Validated at
+    /// Fault plan (host crashes, link flaps, link-capacity changes,
+    /// stragglers, scheduler-state loss) — see fault/fault.h. Validated at
     /// construction. An empty plan leaves the engine's behaviour and
     /// results byte-identical to a build without fault support.
     FaultPlan faults;
@@ -479,16 +476,13 @@ class Simulator {
   /// Scheduler coordination interval; cached from tick_interval().
   Time tick_ = 0;
   Time next_tick_ = std::numeric_limits<Time>::infinity();
-  /// Sorted copy of config_.disruptions; recomputed, not serialized.
-  std::vector<CapacityChange> disruptions_;
-  std::size_t next_disruption_ = 0;
   std::uint64_t iterations_ = 0;
   /// Scratch for the completion pop loop (dead between iterations).
   std::vector<FlowId> done_;
 
   Time now_ = 0;
-  /// Current link capacities (nominal, mutated by disruptions and link
-  /// faults).
+  /// Current link capacities (nominal, mutated by link faults and
+  /// kLinkCapacity events).
   std::vector<Rate> capacities_;
   /// Rates must be recomputed before the next projection (scheduler state,
   /// topology or population changed since the last allocation).
@@ -527,7 +521,8 @@ class Simulator {
   std::vector<char> host_down_;      ///< by host index
   std::vector<char> link_down_;      ///< by link id
   std::vector<double> straggler_;    ///< per-host rate factor; 1.0 nominal
-  std::vector<Rate> saved_capacity_; ///< pre-fault capacity of downed links
+  /// Capacity a downed link returns at on kLinkUp.
+  std::vector<Rate> saved_capacity_;
   /// Flows aborted and waiting for every blocking entity to recover.
   std::vector<FlowId> parked_;
   SnapshotableHeap<RetryEntry, RetryLater> retries_;
@@ -585,7 +580,7 @@ class Simulator {
   // --- run-loop decomposition (run() == prepare(); while (pending())
   // execute(next_event()); collect()) ---
   /// Static structures shared by prepare() and restore(): scheduler attach,
-  /// flow-store reservation, arrival order, sorted disruptions, tick cache.
+  /// flow-store reservation, arrival order, tick cache.
   void prepare_structures();
   /// Full fresh-run initialization (prepare_structures + dynamic defaults).
   void prepare();
@@ -608,8 +603,6 @@ class Simulator {
   void account_memory();
   /// Harvests results_ after the loop drains; may be called once.
   SimResults collect();
-  /// Applies due scheduled capacity changes (failure injection).
-  void apply_due_disruptions();
 
   /// Buffer recycling (Config::recycle): moves the pool's containers into
   /// the members (clearing each — capacity reuse only, never values), and
@@ -651,7 +644,6 @@ class SimBufferPool {
   std::vector<Simulator::CalendarEntry> calendar;
   std::vector<RateChange> rate_changes;
   std::vector<JobId> arrival_order;
-  std::vector<CapacityChange> disruptions;
   std::vector<FlowId> done;
   std::vector<Rate> capacities;
   std::vector<FaultEvent> fault_events;

@@ -96,7 +96,7 @@ class SnapshotCodec {
     check(r.boolean() == (sampler != nullptr && sampler->config().wall),
           "sampler wall setting mismatch");
     check(r.u64() == static_fingerprint(s),
-          "job/disruption/fault inputs mismatch");
+          "job/fault inputs mismatch");
     r.end_section(end);
   }
 
@@ -126,7 +126,7 @@ class SnapshotCodec {
   }
 
   /// Hash of the static inputs reconstructed (not serialized) on restore:
-  /// submitted jobs, scheduled disruptions and the fault plan. The flow
+  /// submitted jobs and the fault plan (capacity changes included). The flow
   /// population and routes derive from these plus the topology, which the
   /// explicit host/link counts already pin down.
   static std::uint64_t static_fingerprint(const Simulator& s) {
@@ -136,12 +136,6 @@ class SnapshotCodec {
       h.mix(j.total_bytes);
       h.mix(static_cast<std::uint64_t>(j.num_stages));
       h.mix(static_cast<std::uint64_t>(j.coflows.size()));
-    }
-    h.mix(static_cast<std::uint64_t>(s.config_.disruptions.size()));
-    for (const CapacityChange& c : s.config_.disruptions) {
-      h.mix(c.time);
-      h.mix(c.link.value());
-      h.mix(c.new_capacity);
     }
     h.mix(static_cast<std::uint64_t>(s.config_.faults.events.size()));
     for (const FaultEvent& e : s.config_.faults.events) {
@@ -167,7 +161,6 @@ class SnapshotCodec {
     w.u64(s.iterations_);
     w.u64(s.next_arrival_);
     w.f64(s.next_tick_);
-    w.u64(s.next_disruption_);
 
     w.u64(s.capacities_.size());
     for (Rate c : s.capacities_) w.f64(c);
@@ -285,7 +278,6 @@ class SnapshotCodec {
     s.iterations_ = r.u64();
     s.next_arrival_ = r.u64();
     s.next_tick_ = r.f64();
-    s.next_disruption_ = r.u64();
 
     const std::uint64_t n_caps = r.u64();
     check(n_caps == s.capacities_.size(), "link capacity vector size");

@@ -43,7 +43,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// v4: one event boundary for every drive call — the engine section
 /// carries only the ramp-refresh bit, and neither payload carries the
 /// legacy full-scan touch counter.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: capacity changes are fault-plan events — the engine section drops
+/// the separate capacity-change cursor and the static fingerprint hashes
+/// only jobs and the fault plan.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

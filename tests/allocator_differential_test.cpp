@@ -13,7 +13,7 @@
 //     the untouched component was *not* re-solved.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
-//     schedulers, ramps, disruptions, fault plans) run through two full
+//     schedulers, ramps, capacity changes, fault plans) run through two full
 //     Simulators that differ only in Config::allocator, asserting
 //     bit-identical results including structured traces — and a sharded
 //     sweep leg showing the pooled comparison matches the oracle's at 1,
@@ -458,17 +458,17 @@ Trial draw_trial(std::uint64_t seed) {
   if (rng.next_double() < 0.3)
     trial.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
 
+  std::vector<FaultEvent> capacity_changes;
   if (rng.next_double() < 0.4) {
     const std::size_t links = trial.fabric->topology().link_count();
     const int n = static_cast<int>(rng.uniform_int(1, 3));
     for (int i = 0; i < n; ++i) {
-      CapacityChange change;
+      FaultEvent change;
+      change.kind = FaultKind::kLinkCapacity;
       change.time = rng.uniform(0.0, 0.5);
       change.link = LinkId{rng.uniform_int(0, links - 1)};
-      const Rate nominal =
-          trial.fabric->topology().link(change.link).capacity;
-      change.new_capacity = nominal * rng.uniform(0.2, 1.0);
-      trial.sim_config.disruptions.push_back(change);
+      change.factor = rng.uniform(0.2, 1.0);
+      capacity_changes.push_back(change);
     }
   }
 
@@ -487,6 +487,11 @@ Trial draw_trial(std::uint64_t seed) {
         plan, rng.next_u64(), trial.fabric->num_hosts(),
         trial.fabric->topology().link_count());
   }
+  // Capacity changes join the plan after it is drawn, so the draw order
+  // (and every trial) stays the same with or without them.
+  trial.sim_config.faults.events.insert(trial.sim_config.faults.events.end(),
+                                        capacity_changes.begin(),
+                                        capacity_changes.end());
 
   trial.sim_config.collect_link_stats = rng.next_double() < 0.25;
   return trial;

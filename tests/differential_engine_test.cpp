@@ -3,7 +3,7 @@
 //
 // Every trace draws a random fabric (big-switch or fat-tree), a random
 // trace shape (fan-out, skew, arrival pattern), a random scheduler from the
-// registry, and optionally link disruptions and the TCP slow-start ramp —
+// registry, and optionally link-capacity changes and the TCP slow-start ramp —
 // then replays the identical job specs through both engines with fresh
 // scheduler instances and asserts the runs are indistinguishable: same
 // event count, same rate recomputations, bit-identical makespan, per-job
@@ -74,20 +74,19 @@ Trial draw_trial(std::uint64_t seed) {
   if (rng.next_double() < 0.3)
     trial.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
 
-  // Disruptions on ~40% of trials. Capacities stay strictly positive so
+  // Capacity changes on ~40% of trials. Capacities stay strictly positive so
   // routed flows always finish (a dead link trips the stall guard by
   // design, which is not what this harness probes).
   if (rng.next_double() < 0.4) {
     const std::size_t links = trial.fabric->topology().link_count();
     const int n = static_cast<int>(rng.uniform_int(1, 3));
     for (int i = 0; i < n; ++i) {
-      CapacityChange change;
+      FaultEvent change;
+      change.kind = FaultKind::kLinkCapacity;
       change.time = rng.uniform(0.0, 0.5);
       change.link = LinkId{rng.uniform_int(0, links - 1)};
-      const Rate nominal =
-          trial.fabric->topology().link(change.link).capacity;
-      change.new_capacity = nominal * rng.uniform(0.2, 1.0);
-      trial.sim_config.disruptions.push_back(change);
+      change.factor = rng.uniform(0.2, 1.0);
+      trial.sim_config.faults.events.push_back(change);
     }
   }
 
@@ -175,7 +174,7 @@ TEST(DifferentialEngineTest, FuzzFastEngineAgainstOracle) {
 }
 
 // Targeted worst case: everything at once — bursty arrivals, TCP ramp,
-// repeated disruptions on a fat-tree, a tick-driven scheduler.
+// repeated capacity changes on a fat-tree, a tick-driven scheduler.
 TEST(DifferentialEngineTest, KitchenSinkScenarioMatchesOracle) {
   FatTree::Config ft;
   ft.k = 4;
@@ -196,12 +195,12 @@ TEST(DifferentialEngineTest, KitchenSinkScenarioMatchesOracle) {
   config.collect_link_stats = true;
   const std::size_t links = fabric.topology().link_count();
   for (int i = 0; i < 6; ++i) {
-    CapacityChange change;
+    FaultEvent change;
+    change.kind = FaultKind::kLinkCapacity;
     change.time = 0.05 * (i + 1);
     change.link = LinkId{static_cast<std::size_t>(i * 7) % links};
-    change.new_capacity =
-        fabric.topology().link(change.link).capacity * (i % 2 ? 0.25 : 1.0);
-    config.disruptions.push_back(change);
+    change.factor = i % 2 ? 0.25 : 1.0;
+    config.faults.events.push_back(change);
   }
 
   for (const std::string& name : {std::string("gurita"), std::string("aalo"),

@@ -53,11 +53,12 @@ TEST_P(DisruptionProperties, InvariantsSurviveDegradations) {
   // A handful of random degradations (never to zero) and restorations.
   const int changes = 2 + static_cast<int>(rng.uniform_int(0, 4));
   for (int i = 0; i < changes; ++i) {
-    CapacityChange change;
+    FaultEvent change;
+    change.kind = FaultKind::kLinkCapacity;
     change.time = rng.uniform(0.0, 5.0);
     change.link = LinkId{rng.uniform_int(0, fabric.topology().link_count() - 1)};
-    change.new_capacity = rng.uniform(10.0, 100.0);
-    config.disruptions.push_back(change);
+    change.factor = rng.uniform(0.1, 1.0);
+    config.faults.events.push_back(change);
   }
 
   const auto sched = make_scheduler(GetParam() % 2 == 0 ? "gurita" : "pfs");
@@ -99,7 +100,11 @@ TEST_P(DisruptionProperties, DegradationNeverSpeedsUpTheRun) {
       for (int h = 0; h < fabric.num_hosts(); ++h) {
         const LinkId up =
             fabric.topology().find_link(fabric.host(h), fabric.edge_of_host(h));
-        config.disruptions.push_back(CapacityChange{0.0, up, 50.0});
+        FaultEvent half;
+        half.kind = FaultKind::kLinkCapacity;
+        half.link = up;
+        half.factor = 0.5;
+        config.faults.events.push_back(half);
       }
     }
     const auto sched = make_scheduler("pfs");

@@ -1,6 +1,6 @@
 // Tests for the incremental event-calendar engine: exact finish times under
 // lazy byte draining, incremental per-coflow aggregates vs brute-force
-// recomputation, rate-zero flows (no calendar entry) across disruptions,
+// recomputation, rate-zero flows (no calendar entry) across capacity changes,
 // and the engine-cost counters bench_engine reports.
 #include <gtest/gtest.h>
 
@@ -73,17 +73,24 @@ TEST(EventCalendar, StaggeredArrivalRekeysInFlightFlow) {
   EXPECT_NEAR(r.jobs[1].jct(), 2.0, 1e-9);  // arrived t=1, done t=3
 }
 
-// ------------------------------------------------- rate-zero / disruptions
+// -------------------------------------------- rate-zero / capacity changes
 
 TEST(EventCalendar, ZeroCapacityStallThenRestore) {
-  // A rate-0 flow has no calendar entry; the disruption that restores the
+  // A rate-0 flow has no calendar entry; the capacity change that restores the
   // link must re-key it. 100 B flow: 50 B by t=0.5, stalled during
   // [0.5, 1.5), finishes at t=2.0.
   const BigSwitch fabric(BigSwitch::Config{4, 100.0});
   PfsScheduler pfs;
   Simulator::Config config;
-  config.disruptions.push_back(CapacityChange{0.5, fabric.uplink(0), 0.0});
-  config.disruptions.push_back(CapacityChange{1.5, fabric.uplink(0), 100.0});
+  FaultEvent change;
+  change.kind = FaultKind::kLinkCapacity;
+  change.link = fabric.uplink(0);
+  change.time = 0.5;
+  change.factor = 0.0;
+  config.faults.events.push_back(change);
+  change.time = 1.5;
+  change.factor = 1.0;
+  config.faults.events.push_back(change);
   Simulator sim(fabric, pfs, config);
   sim.submit(one_flow_job(100.0, 0, 1));
   const SimResults r = sim.run();

@@ -153,21 +153,35 @@ TEST(Args, GetIntRejectsTrailingGarbageNamingTheFlag) {
   }
 }
 
-TEST(Args, KeysWithPrefix) {
-  const Args args =
-      parse({"--fault-horizon", "2", "--faults", "--fault-downtime", "0.5"});
-  const std::vector<std::string> keys = args.keys_with_prefix("fault-");
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "fault-downtime");
-  EXPECT_EQ(keys[1], "fault-horizon");
+TEST(Args, RejectUnreadNamesEveryUnreadFlag) {
+  const Args args = parse({"--fault-horizon", "2", "--faults",
+                           "--fault-downtime", "0.5", "--sceduler", "pfs"});
+  EXPECT_TRUE(args.get_bool("faults", false));
+  EXPECT_EQ(args.get_string("scheduler", "gurita"), "gurita");
+  try {
+    args.reject_unread();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 3u);
+    EXPECT_EQ(e.issues()[0].where, "--fault-downtime");
+    EXPECT_EQ(e.issues()[1].where, "--fault-horizon");
+    EXPECT_EQ(e.issues()[2].where, "--sceduler");
+  }
+  // Reading a flag (present or not) accepts it.
+  EXPECT_DOUBLE_EQ(args.get_double("fault-horizon", 0), 2.0);
+  EXPECT_FALSE(args.has("fault-downtime-typo"));
+  (void)args.has("fault-downtime");
+  (void)args.has("sceduler");
+  EXPECT_NO_THROW(args.reject_unread());
 }
 
 TEST(Args, FaultFlagsRejectUnknownNames) {
   // A typo like --fault-host-rat must not silently run with default rates.
   const Args args = parse({"--fault-host-rat", "0.5", "--fault-horizn", "2"});
   ExperimentConfig config;
+  apply_fault_flags(args, config);
   try {
-    apply_fault_flags(args, config);
+    args.reject_unread();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     ASSERT_EQ(e.issues().size(), 2u);
@@ -230,7 +244,8 @@ TEST(Args, CheckpointFlagsAggregateProblems) {
 TEST(Args, CheckpointFlagsRejectUnknownNames) {
   const Args args = parse({"--checkpoint-evry", "1"});
   ExperimentConfig config;
-  EXPECT_THROW(apply_checkpoint_flags(args, config), ConfigError);
+  apply_checkpoint_flags(args, config);
+  EXPECT_THROW(args.reject_unread(), ConfigError);
 }
 
 TEST(Args, ResumeFromConflictingDirRejected) {

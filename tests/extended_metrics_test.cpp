@@ -2,7 +2,10 @@
 // engine's failure injection + link utilization statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "metrics/extended.h"
+#include "obs/trace.h"
 #include "sched/pfs.h"
 #include "topology/fattree.h"
 
@@ -137,6 +140,21 @@ class DisruptionFixture : public ::testing::Test {
   FatTree fabric_;
   PfsScheduler pfs_;
 
+  /// Host 0's uplink, the link every test here degrades.
+  LinkId uplink() const {
+    return fabric_.topology().find_link(fabric_.host(0),
+                                        fabric_.edge_of_host(0));
+  }
+  static FaultEvent link_event(FaultKind kind, Time time, LinkId link,
+                               double factor = 1.0) {
+    FaultEvent e;
+    e.kind = kind;
+    e.time = time;
+    e.link = link;
+    e.factor = factor;
+    return e;
+  }
+
   JobSpec job(Bytes size, int src, int dst, Time arrival = 0) {
     JobSpec j;
     j.arrival_time = arrival;
@@ -151,9 +169,8 @@ class DisruptionFixture : public ::testing::Test {
 TEST_F(DisruptionFixture, DegradedLinkSlowsFlows) {
   // Degrade host 0's uplink to 25% at t=1.
   Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{1.0, uplink, 25.0});
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 1.0, uplink(), 0.25));
   Simulator sim(fabric_, pfs_, config);
   sim.submit(job(200.0, 0, 1));
   const SimResults r = sim.run();
@@ -163,10 +180,10 @@ TEST_F(DisruptionFixture, DegradedLinkSlowsFlows) {
 
 TEST_F(DisruptionFixture, RestoredLinkSpeedsBackUp) {
   Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.0, uplink, 25.0});
-  config.disruptions.push_back(CapacityChange{2.0, uplink, 100.0});
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.0, uplink(), 0.25));
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 2.0, uplink(), 1.0));
   Simulator sim(fabric_, pfs_, config);
   sim.submit(job(150.0, 0, 1));
   const SimResults r = sim.run();
@@ -176,9 +193,8 @@ TEST_F(DisruptionFixture, RestoredLinkSpeedsBackUp) {
 
 TEST_F(DisruptionFixture, UnaffectedPathsKeepFullRate) {
   Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.0, uplink, 10.0});
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.0, uplink(), 0.1));
   Simulator sim(fabric_, pfs_, config);
   sim.submit(job(100.0, 8, 9));  // different pod entirely
   const SimResults r = sim.run();
@@ -188,9 +204,8 @@ TEST_F(DisruptionFixture, UnaffectedPathsKeepFullRate) {
 TEST_F(DisruptionFixture, DeadLinkTripsStallGuard) {
   Simulator::Config config;
   config.max_time = 100.0;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.5, uplink, 0.0});
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.5, uplink(), 0.0));
   Simulator sim(fabric_, pfs_, config);
   sim.submit(job(200.0, 0, 1));
   EXPECT_THROW(sim.run(), std::logic_error);
@@ -198,8 +213,107 @@ TEST_F(DisruptionFixture, DeadLinkTripsStallGuard) {
 
 TEST_F(DisruptionFixture, RejectsUnknownLink) {
   Simulator::Config config;
-  config.disruptions.push_back(CapacityChange{0.0, LinkId{999999}, 1.0});
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.0, LinkId{999999}, 1.0));
   EXPECT_THROW(Simulator(fabric_, pfs_, config), std::logic_error);
+}
+
+TEST_F(DisruptionFixture, RejectsFactorAboveNominal) {
+  // A capacity above nominal would void the lower bounds of bound/bound.h.
+  Simulator::Config config;
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.0, uplink(), 1.5));
+  try {
+    Simulator sim(fabric_, pfs_, config);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 1u);
+    EXPECT_EQ(e.issues()[0].where, "fault_plan.events[0]");
+  }
+  config.faults.events[0].factor = std::nan("");
+  EXPECT_THROW(Simulator(fabric_, pfs_, config), ConfigError);
+  config.faults.events[0].factor = -0.1;
+  EXPECT_THROW(Simulator(fabric_, pfs_, config), ConfigError);
+}
+
+TEST_F(DisruptionFixture, DegradationBeforeLinkFlapSurvivesIt) {
+  // The change at 0.3 falls while the fabric is idle (the job arrives at
+  // 2). It must fire at 0.3, before the flap saves the link's capacity,
+  // so kLinkUp restores the degraded 25 B/s: 200 B from t=2 end at 10.
+  Simulator::Config config;
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.3, uplink(), 0.25));
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkDown, 0.5, uplink()));
+  config.faults.events.push_back(link_event(FaultKind::kLinkUp, 1.0, uplink()));
+  obs::TraceRecorder recorder(
+      obs::mask_of(obs::TraceEventKind::kCapacityChange));
+  config.trace = &recorder;
+  Simulator sim(fabric_, pfs_, config);
+  sim.submit(job(200.0, 0, 1, /*arrival=*/2.0));
+  const SimResults r = sim.run();
+  EXPECT_NEAR(r.jobs[0].finish, 10.0, 1e-9);
+  ASSERT_EQ(recorder.records().size(), 1u);
+  const obs::TraceRecord& change = recorder.records()[0];
+  EXPECT_EQ(change.time, 0.3);
+  EXPECT_EQ(change.i0, static_cast<std::int32_t>(uplink().value()));
+  EXPECT_EQ(change.v0, 25.0);
+}
+
+/// Flat-priority scheduler that logs the fault kinds delivered to it.
+class FaultLogScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "fault_log"; }
+  void assign(Time, const std::vector<SimFlow*>& active) override {
+    for (SimFlow* f : active) {
+      f->tier = 0;
+      f->weight = 1.0;
+    }
+  }
+  void on_fault(const FaultEvent& event, Time) override {
+    delivered.push_back(event.kind);
+  }
+  void on_recover(const FaultEvent& event, Time) override {
+    delivered.push_back(event.kind);
+  }
+  std::vector<FaultKind> delivered;
+};
+
+TEST_F(DisruptionFixture, CapacityChangesAreNotDeliveredToTheScheduler) {
+  Simulator::Config config;
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.3, uplink(), 0.25));
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkDown, 0.5, uplink()));
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.7, uplink(), 0.5));
+  config.faults.events.push_back(link_event(FaultKind::kLinkUp, 1.0, uplink()));
+  FaultLogScheduler log;
+  Simulator sim(fabric_, log, config);
+  sim.submit(job(200.0, 0, 1));
+  sim.run();
+  EXPECT_EQ(log.delivered,
+            (std::vector<FaultKind>{FaultKind::kLinkDown, FaultKind::kLinkUp}));
+}
+
+TEST_F(DisruptionFixture, DegradationWhileLinkIsDownAppliesOnRecovery) {
+  // The flow loses its first 50 B when the link fails at 0.5. The change
+  // at 0.7 lands on the downed link: capacity stays 0 until kLinkUp at 1,
+  // which brings the link back at 25 B/s. The retry restarts all 200 B
+  // one backoff after the recovery.
+  Simulator::Config config;
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkDown, 0.5, uplink()));
+  config.faults.events.push_back(
+      link_event(FaultKind::kLinkCapacity, 0.7, uplink(), 0.25));
+  config.faults.events.push_back(link_event(FaultKind::kLinkUp, 1.0, uplink()));
+  Simulator sim(fabric_, pfs_, config);
+  sim.submit(job(200.0, 0, 1));
+  const SimResults r = sim.run();
+  const Time backoff = config.faults.retry.delay(1, config.faults.seed, 0);
+  EXPECT_NEAR(r.jobs[0].finish, 1.0 + backoff + 8.0, 1e-9);
+  EXPECT_NEAR(r.jobs[0].finish, 9.0022, 1e-3);
+  EXPECT_EQ(r.flow_aborts, 1u);
 }
 
 TEST_F(DisruptionFixture, LinkStatsAccountDeliveredBytes) {

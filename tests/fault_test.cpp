@@ -186,13 +186,14 @@ TEST_F(FaultFixture, SimulatorRejectsInvalidPlansAndDisruptions) {
   bad_plan.faults.events.push_back(host_event(FaultKind::kHostDown, 0.1, -5));
   EXPECT_THROW(Simulator(fabric_, pfs_, bad_plan), ConfigError);
 
-  Simulator::Config bad_disruption;
-  CapacityChange change;
+  Simulator::Config bad_capacity_change;
+  FaultEvent change;
+  change.kind = FaultKind::kLinkCapacity;
   change.time = -1.0;
   change.link = LinkId{0};
-  change.new_capacity = 10.0;
-  bad_disruption.disruptions.push_back(change);
-  EXPECT_THROW(Simulator(fabric_, pfs_, bad_disruption), ConfigError);
+  change.factor = 0.1;
+  bad_capacity_change.faults.events.push_back(change);
+  EXPECT_THROW(Simulator(fabric_, pfs_, bad_capacity_change), ConfigError);
 }
 
 // ------------------------------------------------------- crash + retry ---

@@ -352,9 +352,15 @@ TEST_F(GuritaFixture, FreshCoflowWithZeroObservationIsNotDemoted) {
   const BigSwitch fabric(BigSwitch::Config{4, 100.0});
   GuritaScheduler gurita(small_scale_config());
   Simulator::Config sim_config;
-  sim_config.disruptions.push_back(CapacityChange{0.0, fabric.uplink(0), 0.0});
-  sim_config.disruptions.push_back(
-      CapacityChange{1.0, fabric.uplink(0), 100.0});
+  FaultEvent change;
+  change.kind = FaultKind::kLinkCapacity;
+  change.link = fabric.uplink(0);
+  change.time = 0.0;
+  change.factor = 0.0;
+  sim_config.faults.events.push_back(change);
+  change.time = 1.0;
+  change.factor = 1.0;
+  sim_config.faults.events.push_back(change);
   Simulator sim(fabric, gurita, sim_config);
   sim.submit(one_flow_job(50.0, 0, 1));
   const SimResults r = sim.run();

@@ -6,10 +6,10 @@
 // set for the next completion and for due flows, exactly like the seed
 // engine before the event-calendar PR. Everything else (lazy settle-point
 // byte accounting, aggregate maintenance, scheduler hook order, active-list
-// swap-with-last order, arrival coalescing, disruptions, TCP ramp caps) is
-// kept ARITHMETICALLY IDENTICAL to flowsim/simulator.cpp, expression by
-// expression, so real schedulers observe bit-identical state and drive both
-// engines down the same trajectory.
+// swap-with-last order, arrival coalescing, kLinkCapacity events, TCP ramp
+// caps) is kept ARITHMETICALLY IDENTICAL to flowsim/simulator.cpp,
+// expression by expression, so real schedulers observe bit-identical state
+// and drive both engines down the same trajectory.
 //
 // That makes the pair a differential oracle: any divergence in event times,
 // JCT/CCT or counters between Simulator and OracleSimulator on the same
@@ -46,11 +46,16 @@ class OracleSimulator {
     capacities_.resize(fabric.topology().link_count());
     for (std::size_t i = 0; i < capacities_.size(); ++i)
       capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
-    for (const CapacityChange& change : config_.disruptions) {
-      GURITA_CHECK_MSG(change.link.value() < capacities_.size(),
-                       "disruption targets an unknown link");
-      GURITA_CHECK_MSG(change.new_capacity >= 0, "negative capacity");
-      GURITA_CHECK_MSG(change.time >= 0, "disruption before time zero");
+    // The oracle models capacity changes only: every other fault kind
+    // (aborts, retries, stragglers) is the fast engine's alone.
+    for (const FaultEvent& e : config_.faults.events) {
+      GURITA_CHECK_MSG(e.kind == FaultKind::kLinkCapacity,
+                       "oracle supports only kLinkCapacity fault events");
+      GURITA_CHECK_MSG(e.link.value() < capacities_.size(),
+                       "capacity change targets an unknown link");
+      GURITA_CHECK_MSG(e.factor >= 0 && e.factor <= 1,
+                       "capacity factor outside [0, 1]");
+      GURITA_CHECK_MSG(e.time >= 0, "capacity change before time zero");
     }
   }
   OracleSimulator(const Fabric& fabric, Scheduler& scheduler)
@@ -119,19 +124,25 @@ class OracleSimulator {
     if (config_.collect_link_stats)
       results.link_bytes.assign(fabric_->topology().link_count(), 0.0);
 
-    std::vector<CapacityChange> disruptions = config_.disruptions;
-    std::sort(disruptions.begin(), disruptions.end(),
-              [](const CapacityChange& a, const CapacityChange& b) {
-                return a.time < b.time;
-              });
-    std::size_t next_disruption = 0;
-    const auto apply_due_disruptions = [&] {
-      while (next_disruption < disruptions.size() &&
-             disruptions[next_disruption].time <= now_ + kTimeEpsilon) {
-        const CapacityChange& change = disruptions[next_disruption++];
-        capacities_[change.link.value()] = change.new_capacity;
+    std::vector<FaultEvent> changes = config_.faults.events;
+    std::stable_sort(changes.begin(), changes.end(),
+                     [](const FaultEvent& a, const FaultEvent& b) {
+                       return a.time < b.time;
+                     });
+    std::size_t next_change = 0;
+    const auto apply_due_changes = [&] {
+      while (next_change < changes.size() &&
+             changes[next_change].time <= now_ + kTimeEpsilon) {
+        const FaultEvent& change = changes[next_change++];
+        capacities_[change.link.value()] =
+            fabric_->topology().link(change.link).capacity * change.factor;
         dirty = true;
       }
+    };
+    const auto next_change_time = [&] {
+      return next_change < changes.size()
+                 ? changes[next_change].time
+                 : std::numeric_limits<Time>::infinity();
     };
 
     std::vector<FlowId> done;
@@ -148,11 +159,13 @@ class OracleSimulator {
       }
       ++results.events;
       if (active_.empty()) {
-        SimJob& job = state_.jobs_[arrival_order[next_arrival].value()];
-        now_ = std::max(now_, job.arrival_time);
+        // Idle network: a capacity change due before the next arrival is
+        // an event of its own, applied before any flow releases.
+        const Time t_arrival =
+            state_.jobs_[arrival_order[next_arrival].value()].arrival_time;
+        now_ = std::max(now_, std::min(t_arrival, next_change_time()));
         state_.now_ = now_;
-        ++next_arrival;
-        arrive_job(job);
+        apply_due_changes();
         while (next_arrival < arrival_order.size()) {
           SimJob& j = state_.jobs_[arrival_order[next_arrival].value()];
           if (j.arrival_time > now_ + kTimeEpsilon) break;
@@ -160,7 +173,6 @@ class OracleSimulator {
           arrive_job(j);
         }
         if (tick > 0) next_tick = now_ + tick;
-        apply_due_disruptions();
         dirty = true;
         continue;
       }
@@ -213,11 +225,8 @@ class OracleSimulator {
               : std::numeric_limits<Time>::infinity();
       const Time t_tick =
           tick > 0 ? next_tick : std::numeric_limits<Time>::infinity();
-      const Time t_disruption = next_disruption < disruptions.size()
-                                    ? disruptions[next_disruption].time
-                                    : std::numeric_limits<Time>::infinity();
-
-      Time t_next = std::min({t_complete, t_arrival, t_tick, t_disruption});
+      Time t_next =
+          std::min({t_complete, t_arrival, t_tick, next_change_time()});
       if (any_ramp_capped) {
         t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
         dirty = true;
@@ -230,7 +239,7 @@ class OracleSimulator {
 
       now_ = t_next;
       state_.now_ = now_;
-      apply_due_disruptions();
+      apply_due_changes();
 
       // ORACLE DIVERGENCE #2: completions by full active-set scan with the
       // engine's exact due predicate, then sorted by flow id — the same

@@ -360,6 +360,35 @@ TEST(SnapshotRoundTrip, MidFaultParkAndMidRetryBackoff) {
   }
 }
 
+// Capacity changes live in the fault runtime too: pause on an idle fabric
+// after a change fired ahead of the first arrival, while a downed link
+// holds the degraded capacity it will return at, and after the retry.
+TEST(SnapshotRoundTrip, CapacityChangesOnIdleAndDownedLinks) {
+  const FatTree fabric(FatTree::Config{4, 100.0});
+  const LinkId uplink =
+      fabric.topology().find_link(fabric.host(0), fabric.edge_of_host(0));
+  Simulator::Config config;
+  const auto link_event = [&](FaultKind kind, Time time, double factor) {
+    FaultEvent e;
+    e.kind = kind;
+    e.time = time;
+    e.link = uplink;
+    e.factor = factor;
+    return e;
+  };
+  config.faults.events = {link_event(FaultKind::kLinkCapacity, 0.3, 0.5),
+                          link_event(FaultKind::kLinkDown, 2.0, 1.0),
+                          link_event(FaultKind::kLinkCapacity, 3.0, 0.25),
+                          link_event(FaultKind::kLinkUp, 4.0, 1.0)};
+  const std::vector<JobSpec> jobs = {single_flow_job(1000, 0, 1, 1.0)};
+  for (const std::string& name : scheduler_names()) {
+    Scenario s{fabric, name, jobs, config, /*with_trace=*/true};
+    const SimResults reference = run_uninterrupted(s);
+    EXPECT_EQ(reference.flow_aborts, 1u) << name;
+    expect_split_invariant(s, {0.5, 3.5, 6.0}, reference);
+  }
+}
+
 // Checkpoint between the stages of a dependent job: stage 0's coflow has
 // finished, stage 1's was released from the dependency tracker mid-run.
 TEST(SnapshotRoundTrip, MidStageRelease) {
