@@ -24,19 +24,15 @@
 // path is > 2% slower AND more than 0.5 ms absolute — all recorded in
 // BENCH_engine.json, nonzero exit on breach.
 //
-// Allocator matrix: --allocator both (default) runs every configuration
-// under the incremental allocator AND the from-scratch oracle, tagging each
-// row. --allocator-guard R (R > 0; CI passes 2) then asserts, at the
-// largest flow count's completions scenario, that the incremental
-// allocator's total allocator-phase time (allocator + alloc_frontier +
-// alloc_converge) is at least R times cheaper than the oracle's, and that
-// both modes agree on makespan and event count — nonzero exit on breach.
+// Solve-count check (always on): the host pairs are disjoint, so every flow
+// is its own link-connected component and the allocator's dirty-link
+// frontier must pass each flow through the water-filling kernel exactly
+// once over the whole run. A row whose flows_solved exceeds its flow count
+// means the frontier re-solved flows no event touched — nonzero exit.
 //
 //   ./bench_engine [--flows 1000,10000,100000] [--groups 32]
 //                  [--tick 0.1] [--out BENCH_engine.json]
 //                  [--profile true] [--overhead-guard true]
-//                  [--allocator both|incremental|oracle]
-//                  [--allocator-guard 0]
 //                  [--log-level warn]
 #include <algorithm>
 #include <chrono>
@@ -82,7 +78,6 @@ class TickingPfsScheduler final : public Scheduler {
 struct BenchRow {
   int flows = 0;
   std::string scenario;
-  std::string allocator;
   double wall_ms = 0;
   Time makespan = 0;
   std::uint64_t events = 0;
@@ -90,19 +85,6 @@ struct BenchRow {
   AllocStats alloc;
   obs::PhaseProfile profile;
   bool profiled = false;
-
-  /// Total allocator cost: the dispatch phase plus the incremental
-  /// sub-phases (exclusive attribution — obs/profiler.h).
-  [[nodiscard]] std::uint64_t allocator_ns() const {
-    return profile.phases[static_cast<std::size_t>(obs::Phase::kAllocator)]
-               .ns +
-           profile
-               .phases[static_cast<std::size_t>(obs::Phase::kAllocFrontier)]
-               .ns +
-           profile
-               .phases[static_cast<std::size_t>(obs::Phase::kAllocConverge)]
-               .ns;
-  }
 };
 
 /// One job, one coflow, `flows` transfers on disjoint host pairs
@@ -130,8 +112,7 @@ enum class ObsWiring {
 };
 
 BenchRow run_one(int flows, int groups, Time tick, bool ticking,
-                 ObsWiring wiring,
-                 AllocatorKind kind = AllocatorKind::kIncremental) {
+                 ObsWiring wiring) {
   const BigSwitch fabric(BigSwitch::Config{2 * flows, 100.0});
   PfsScheduler pfs;
   TickingPfsScheduler ticking_pfs(tick);
@@ -144,7 +125,6 @@ BenchRow run_one(int flows, int groups, Time tick, bool ticking,
   // null check + one comparison).
   obs::IntervalSampler idle_sampler(obs::IntervalSampler::Config{1e18});
   Simulator::Config config;
-  config.allocator = kind;
   if (wiring == ObsWiring::kDisabledRecorder ||
       wiring == ObsWiring::kIdleSampler)
     config.trace = &disabled_recorder;
@@ -160,7 +140,6 @@ BenchRow run_one(int flows, int groups, Time tick, bool ticking,
   BenchRow row;
   row.flows = flows;
   row.scenario = ticking ? "ticks" : "completions";
-  row.allocator = to_string(kind);
   row.alloc = sim.allocator_stats();
   row.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
@@ -245,64 +224,6 @@ OverheadGuard run_overhead_guard(int flows, int groups, Time tick,
   return guard;
 }
 
-struct AllocatorGuard {
-  bool ran = false;
-  double threshold = 0;        ///< required oracle/incremental speedup
-  int flows = 0;               ///< flow count the guard measured at
-  std::uint64_t incremental_ns = 0;
-  std::uint64_t oracle_ns = 0;
-  bool results_match = true;   ///< makespan/events agree across modes
-  bool breached = false;
-
-  [[nodiscard]] double speedup() const {
-    return incremental_ns == 0 ? 0.0
-                               : static_cast<double>(oracle_ns) /
-                                     static_cast<double>(incremental_ns);
-  }
-};
-
-/// Same-run regression guard: at the largest flow count's completions
-/// scenario, the incremental allocator's phase time must beat the oracle's
-/// by at least `threshold`, and every (flows, scenario) pair must agree on
-/// makespan and event count across the two modes (a cheap byte-identity
-/// smoke on top of the differential suite).
-AllocatorGuard run_allocator_guard(const std::vector<BenchRow>& rows,
-                                   double threshold) {
-  AllocatorGuard guard;
-  guard.ran = true;
-  guard.threshold = threshold;
-  const BenchRow* inc = nullptr;
-  const BenchRow* ora = nullptr;
-  for (const BenchRow& r : rows) {
-    if (r.scenario != "completions" || !r.profiled) continue;
-    if (r.allocator == "incremental" &&
-        (inc == nullptr || r.flows > inc->flows))
-      inc = &r;
-    if (r.allocator == "oracle" && (ora == nullptr || r.flows > ora->flows))
-      ora = &r;
-  }
-  if (inc == nullptr || ora == nullptr || inc->flows != ora->flows) {
-    std::cerr << "allocator guard wants --allocator both and --profile\n";
-    guard.breached = true;
-    return guard;
-  }
-  guard.flows = inc->flows;
-  guard.incremental_ns = inc->allocator_ns();
-  guard.oracle_ns = ora->allocator_ns();
-  for (const BenchRow& a : rows) {
-    if (a.allocator != "incremental") continue;
-    for (const BenchRow& b : rows) {
-      if (b.allocator != "oracle" || b.flows != a.flows ||
-          b.scenario != a.scenario)
-        continue;
-      if (a.makespan != b.makespan || a.events != b.events)
-        guard.results_match = false;
-    }
-  }
-  guard.breached = guard.speedup() < threshold || !guard.results_match;
-  return guard;
-}
-
 void write_profile_json(std::ostream& out, const obs::PhaseProfile& profile) {
   out << "\"phases\": {";
   for (int p = 0; p < obs::kNumPhases; ++p) {
@@ -315,14 +236,12 @@ void write_profile_json(std::ostream& out, const obs::PhaseProfile& profile) {
 }
 
 bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
-                const OverheadGuard& guard,
-                const AllocatorGuard& alloc_guard) try {
+                const OverheadGuard& guard) try {
   write_file_atomic(path, /*binary=*/false, [&](std::ostream& out) {
   out << "{\n  \"bench\": \"engine\",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"flows\": " << r.flows << ", \"scenario\": \"" << r.scenario
-        << "\", \"allocator\": \"" << r.allocator
         << "\", \"events\": " << r.events
         << ", \"flow_touches\": " << r.flow_touches
         << ", \"allocations\": " << r.alloc.allocations
@@ -344,17 +263,6 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
         << ", \"disabled_sampling_ms\": " << guard.sampler_ms
         << ", \"sampling_ratio\": " << guard.sampler_ratio()
         << ", \"breached\": " << (guard.breached ? "true" : "false") << "}";
-  }
-  if (alloc_guard.ran) {
-    out << ",\n  \"allocator_guard\": {\"flows\": " << alloc_guard.flows
-        << ", \"incremental_ns\": " << alloc_guard.incremental_ns
-        << ", \"oracle_ns\": " << alloc_guard.oracle_ns
-        << ", \"speedup\": " << alloc_guard.speedup()
-        << ", \"threshold\": " << alloc_guard.threshold
-        << ", \"results_match\": "
-        << (alloc_guard.results_match ? "true" : "false")
-        << ", \"breached\": " << (alloc_guard.breached ? "true" : "false")
-        << "}";
   }
   out << "\n}\n";
   });
@@ -378,43 +286,33 @@ int main(int argc, char** argv) try {
   const bool profile = args.get_bool("profile", true);
   const bool overhead = args.get_bool("overhead-guard", true);
   const int guard_trials = args.get_int("overhead-trials", 5);
-  const std::string allocator_arg = args.get_string("allocator", "both");
-  const double allocator_guard = args.get_double("allocator-guard", 0.0);
   args.reject_unread();
 
-  std::vector<AllocatorKind> kinds;
-  if (allocator_arg == "both")
-    kinds = {AllocatorKind::kIncremental, AllocatorKind::kOracle};
-  else if (allocator_arg == "incremental")
-    kinds = {AllocatorKind::kIncremental};
-  else if (allocator_arg == "oracle")
-    kinds = {AllocatorKind::kOracle};
-  else {
-    std::cerr << "--allocator wants both|incremental|oracle, got \""
-              << allocator_arg << "\"\n";
-    return 1;
-  }
-
   std::cout << "=== Engine microbenchmark: per-event flow touches ===\n\n";
-  std::cout << "flows      scenario     allocator      events    touches    "
-               "wall_ms\n";
+  std::cout << "flows      scenario       events    touches    wall_ms\n";
 
   std::vector<BenchRow> rows;
   obs::PhaseProfile total;
+  bool over_solved = false;
   for (const int flows : flow_counts) {
     for (const bool ticking : {false, true}) {
-      for (const AllocatorKind kind : kinds) {
-        const BenchRow row =
-            run_one(flows, groups, tick, ticking,
-                    profile ? ObsWiring::kProfile : ObsWiring::kNone, kind);
-        std::printf("%-10d %-12s %-12s %8llu %10llu %10.2f\n", row.flows,
-                    row.scenario.c_str(), row.allocator.c_str(),
-                    static_cast<unsigned long long>(row.events),
-                    static_cast<unsigned long long>(row.flow_touches),
-                    row.wall_ms);
-        if (row.profiled) total.merge(row.profile);
-        rows.push_back(row);
+      const BenchRow row =
+          run_one(flows, groups, tick, ticking,
+                  profile ? ObsWiring::kProfile : ObsWiring::kNone);
+      std::printf("%-10d %-12s %8llu %10llu %10.2f\n", row.flows,
+                  row.scenario.c_str(),
+                  static_cast<unsigned long long>(row.events),
+                  static_cast<unsigned long long>(row.flow_touches),
+                  row.wall_ms);
+      if (row.alloc.flows_solved > static_cast<std::uint64_t>(row.flows)) {
+        std::printf("  solve-count check: %llu flows solved for %d flows "
+                    "-> BREACH\n",
+                    static_cast<unsigned long long>(row.alloc.flows_solved),
+                    row.flows);
+        over_solved = true;
       }
+      if (row.profiled) total.merge(row.profile);
+      rows.push_back(row);
     }
   }
 
@@ -435,27 +333,12 @@ int main(int argc, char** argv) try {
         guard.sampler_ratio(), guard.breached ? "BREACH" : "ok");
   }
 
-  AllocatorGuard alloc_guard;
-  if (allocator_guard > 0) {
-    alloc_guard = run_allocator_guard(rows, allocator_guard);
-    std::printf(
-        "\nallocator guard (flows=%d, completions): incremental %.2f ms, "
-        "oracle %.2f ms, speedup %.1fx (threshold %.1fx), results %s -> "
-        "%s\n",
-        alloc_guard.flows,
-        static_cast<double>(alloc_guard.incremental_ns) / 1e6,
-        static_cast<double>(alloc_guard.oracle_ns) / 1e6,
-        alloc_guard.speedup(), alloc_guard.threshold,
-        alloc_guard.results_match ? "match" : "DIVERGED",
-        alloc_guard.breached ? "BREACH" : "ok");
-  }
-
-  if (!write_json(out_path, rows, guard, alloc_guard)) {
+  if (!write_json(out_path, rows, guard)) {
     std::cerr << "\nfailed to write " << out_path << "\n";
     return 1;
   }
   std::cout << "\nwrote " << out_path << "\n";
-  return guard.breached || alloc_guard.breached ? 1 : 0;
+  return guard.breached || over_solved ? 1 : 0;
 } catch (const std::exception& e) {
   std::cerr << "bench_engine: " << e.what() << "\n";
   return 2;

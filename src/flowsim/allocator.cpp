@@ -1,30 +1,9 @@
 #include "flowsim/allocator.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace gurita {
-
-const char* to_string(AllocatorKind kind) {
-  switch (kind) {
-    case AllocatorKind::kIncremental: return "incremental";
-    case AllocatorKind::kOracle: return "oracle";
-  }
-  return "?";
-}
-
-AllocatorKind default_allocator_kind() {
-  static const AllocatorKind kind = [] {
-    const char* v = std::getenv("GURITA_ALLOCATOR");
-    if (v == nullptr || *v == '\0') v = std::getenv("ALLOCATOR");
-    if (v != nullptr && std::strcmp(v, "oracle") == 0)
-      return AllocatorKind::kOracle;
-    return AllocatorKind::kIncremental;
-  }();
-  return kind;
-}
 
 void WaterfillScratch::ensure(std::size_t links) {
   if (link_slot.size() < links) {
@@ -319,7 +298,7 @@ std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
 
 void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
                     const std::vector<SimFlow*>& flows,
-                    std::vector<RateChange>* changed, AllocStats* stats) {
+                    std::vector<RateChange>* changed) {
   GURITA_CHECK_MSG(capacities.size() == topo.link_count(),
                    "capacity vector must cover every link");
   for (Rate c : capacities) GURITA_CHECK_MSG(c >= 0, "negative capacity");
@@ -349,13 +328,11 @@ void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
   for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> link_first(topo.link_count(), kNone);
-  std::uint64_t used_links = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     for (LinkId l : order[i]->path) {
       std::uint32_t& first = link_first[l.value()];
       if (first == kNone) {
         first = i;
-        ++used_links;
       } else {
         const std::uint32_t a = uf_find(parent, i);
         const std::uint32_t b = uf_find(parent, first);
@@ -378,15 +355,6 @@ void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
   for (std::vector<SimFlow*>& comp : comps)
     solve_component(topo, comp.data(), comp.size(), capacities, scratch);
 
-  if (stats != nullptr) {
-    ++stats->allocations;
-    stats->flows_solved += flows.size();
-    stats->components_solved += comps.size();
-    stats->dirty_links += used_links;
-    for (const std::vector<SimFlow*>& comp : comps)
-      stats->component_flows.add(static_cast<double>(comp.size()));
-  }
-
   if (changed != nullptr) {
     for (std::size_t j = 0; j < flows.size(); ++j) {
       if (flows[j]->rate != old_rates[j])
@@ -404,10 +372,8 @@ void allocate_rates(const Topology& topo, const std::vector<SimFlow*>& flows) {
 
 // --- RateAllocator -----------------------------------------------------------
 
-void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
-                          std::size_t flow_capacity) {
+void RateAllocator::reset(const Topology* topo, std::size_t flow_capacity) {
   topo_ = topo;
-  kind_ = kind;
   stats_ = AllocStats{};
   const std::size_t links = topo->link_count();
   head_.assign(links, kNil);
@@ -424,7 +390,6 @@ void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
   old_rate_.clear();
   flow_mark_.clear();
   affected_.clear();
-  if (kind_ == AllocatorKind::kOracle) return;
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
   tier_mirror_.reserve(flow_capacity);
@@ -446,14 +411,12 @@ void RateAllocator::ensure_flow(std::size_t fid) {
 }
 
 void RateAllocator::dirty_link(LinkId link) {
-  if (kind_ == AllocatorKind::kOracle) return;
   if (link_mark_[link.value()] != 0) return;
   link_mark_[link.value()] = kDirty;
   dirty_list_.push_back(link);
 }
 
 void RateAllocator::add_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   ensure_flow(fid);
   std::int32_t slot = slot_offset_[fid];
@@ -480,7 +443,6 @@ void RateAllocator::add_flow(SimFlow* flow) {
 }
 
 void RateAllocator::remove_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   if (fid >= in_.size() || !in_[fid]) return;
   const std::int32_t slot = slot_offset_[fid];
@@ -500,14 +462,12 @@ void RateAllocator::remove_flow(SimFlow* flow) {
 }
 
 void RateAllocator::touch_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   if (fid >= in_.size() || !in_[fid]) return;
   for (LinkId l : flow->path) dirty_link(l);
 }
 
 void RateAllocator::rebuild(const std::vector<SimFlow*>& active) {
-  if (kind_ == AllocatorKind::kOracle) return;
   std::fill(head_.begin(), head_.end(), kNil);
   std::fill(link_mark_.begin(), link_mark_.end(), 0);
   dirty_list_.clear();
@@ -524,11 +484,6 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
                              const std::vector<SimFlow*>& active,
                              std::vector<RateChange>* changed,
                              obs::PhaseProfiler* profiler) {
-  if (kind_ == AllocatorKind::kOracle) {
-    obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
-    allocate_rates(*topo_, capacities, active, changed, &stats_);
-    return;
-  }
   ++stats_.allocations;
 
   {
@@ -536,7 +491,7 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
     // Priority rewrites leave no event trail of their own: schedulers
     // mutate tier/weight in place during assign(). One O(active) mirror
     // scan per recomputation catches them — still O(1) per flow, versus
-    // the oracle's full sort + re-solve.
+    // a full sort + re-solve.
     for (SimFlow* f : active) {
       const std::size_t fid = f->id.value();
       if (f->tier != tier_mirror_[fid] || f->weight != weight_mirror_[fid]) {
@@ -592,7 +547,7 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
   stats_.flows_solved += affected_.size();
 
   // Changed flows, in active order — the exact list (content and order)
-  // the oracle reports: an unaffected flow's cached rate is bitwise what
+  // allocate_rates() reports: an unaffected flow's cached rate is bitwise what
   // a re-solve would produce, so it cannot have "changed".
   if (changed != nullptr) {
     changed->clear();

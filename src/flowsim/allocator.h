@@ -17,19 +17,19 @@
 // The result is work-conserving: no link with an unfrozen flow is left with
 // spare capacity.
 //
-// Two implementations share one convergence kernel (solve_component):
+// Two callers share one convergence kernel (solve_component):
 //
-//   * allocate_rates — the *oracle*: re-solves every link-connected
-//     component of the whole active set from scratch. Simple, obviously
-//     correct, and the reference the incremental allocator is held
+//   * RateAllocator — the engine's allocator: event hooks (flow
+//     add/remove, link capacity change, priority change) seed a dirty-link
+//     frontier; allocate() re-solves only the link-connected components
+//     that contain a dirty link. Unaffected flows keep their cached rates,
+//     which purity (rates are a function of (component flows, tiers,
+//     weights, caps) only) guarantees are the bits a full re-solve would
+//     produce.
+//   * allocate_rates — a from-scratch re-solve of every link-connected
+//     component of a flow set. The engine never calls it; it is the
+//     reference the allocator-level tests and benchmarks hold RateAllocator
 //     byte-identical to (DESIGN.md §13).
-//   * RateAllocator — the *incremental* allocator the engine uses by
-//     default: event hooks (flow add/remove, link capacity change, priority
-//     change) seed a dirty-link frontier; allocate() re-solves only the
-//     link-connected components that contain a dirty link. Unaffected
-//     flows keep their cached rates, which purity
-//     (rates are a function of (component flows, tiers, weights, caps)
-//     only) guarantees are the bits a full re-solve would produce.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +50,6 @@ struct RateChange {
   SimFlow* flow = nullptr;
   Rate old_rate = 0;
 };
-
-/// Which allocator implementation the engine drives (Simulator::Config).
-enum class AllocatorKind : std::uint8_t {
-  kIncremental = 0,  ///< dirty-link frontier + cached component rates
-  kOracle = 1,       ///< full from-scratch re-solve every recomputation
-};
-
-[[nodiscard]] const char* to_string(AllocatorKind kind);
-
-/// Process-wide default: the GURITA_ALLOCATOR environment variable (falling
-/// back to ALLOCATOR) set to "oracle" selects AllocatorKind::kOracle; any
-/// other value — including unset — selects the incremental allocator. Read
-/// once and cached, so every Simulator::Config in the process agrees.
-[[nodiscard]] AllocatorKind default_allocator_kind();
 
 /// Work counters for one run's allocations. Diagnostic only: they are not
 /// part of the determinism contract (a restored run re-solves everything on
@@ -153,13 +139,13 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
 /// reports no changes — the hook the event-calendar engine uses to touch
 /// only flows whose projected finish time shifted.
 ///
-/// This is the oracle: link-connected components are split out and each is
-/// solved independently by the shared kernel, so its bits are — by
-/// construction — the ones RateAllocator's partial re-solves produce.
+/// This is the test and benchmark reference: link-connected components are
+/// split out and each is solved independently by the shared kernel, so its
+/// bits are — by construction — the ones RateAllocator's partial re-solves
+/// produce.
 void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
                     const std::vector<SimFlow*>& flows,
-                    std::vector<RateChange>* changed = nullptr,
-                    AllocStats* stats = nullptr);
+                    std::vector<RateChange>* changed = nullptr);
 
 /// Convenience overload using the topology's nominal capacities.
 void allocate_rates(const Topology& topo, const std::vector<SimFlow*>& flows);
@@ -180,11 +166,7 @@ void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
 /// (flat SoA membership lists) from each dirty link no earlier search
 /// reached, solves each component so found with the shared kernel, and
 /// reports exactly the flows whose rate moved — in active-list order,
-/// bitwise identical to what the oracle would report.
-///
-/// In AllocatorKind::kOracle mode every hook is a no-op and allocate()
-/// delegates to allocate_rates(), which is what makes the two engines
-/// differentially comparable at zero risk of shared state.
+/// bitwise identical to what allocate_rates() would report.
 ///
 /// The class owns no simulation state that cannot be rebuilt: a restored
 /// simulator calls rebuild(active) and the first allocation re-solves
@@ -201,10 +183,8 @@ class RateAllocator {
   /// (Re-)initializes for a run: sizes per-link arrays, clears membership
   /// and the frontier, reserves per-flow arrays for `flow_capacity` ids.
   /// Reuses existing vector capacity, so pooled reuse allocates nothing.
-  void reset(const Topology* topo, AllocatorKind kind,
-             std::size_t flow_capacity);
+  void reset(const Topology* topo, std::size_t flow_capacity);
 
-  [[nodiscard]] AllocatorKind kind() const { return kind_; }
   [[nodiscard]] const AllocStats& stats() const { return stats_; }
 
   /// Reserved bytes of the membership lists, per-flow arrays, worklists and
@@ -226,12 +206,11 @@ class RateAllocator {
   /// frontier with it.
   void dirty_link(LinkId link);
 
-  /// Recomputes rates. Incremental mode: mirror-scans `active` for
-  /// tier/weight changes, re-solves every component a dirty link touches,
-  /// and fills `changed` (cleared first) with the flows whose
-  /// rate moved, in `active` order — the same list allocate_rates() would
-  /// produce. Oracle mode: delegates to allocate_rates(). `profiler` (may
-  /// be null) receives the kAllocFrontier / kAllocConverge sub-phases.
+  /// Recomputes rates: mirror-scans `active` for tier/weight changes,
+  /// re-solves every component a dirty link touches, and fills `changed`
+  /// (cleared first) with the flows whose rate moved, in `active` order —
+  /// the same list allocate_rates() would produce. `profiler` (may be
+  /// null) receives the kAllocFrontier / kAllocConverge sub-phases.
   void allocate(const std::vector<Rate>& capacities,
                 const std::vector<SimFlow*>& active,
                 std::vector<RateChange>* changed,
@@ -250,7 +229,6 @@ class RateAllocator {
   void ensure_flow(std::size_t fid);
 
   const Topology* topo_ = nullptr;
-  AllocatorKind kind_ = AllocatorKind::kIncremental;
   AllocStats stats_;
 
   // --- flat SoA membership: per link an intrusive doubly-linked list of

@@ -479,7 +479,7 @@ void Simulator::prepare_structures() {
   state_.flows_.reserve(total_flows);
   pos_in_active_.reserve(total_flows);
   gen_.reserve(total_flows);
-  alloc_.reset(&fabric_->topology(), config_.allocator, total_flows);
+  alloc_.reset(&fabric_->topology(), total_flows);
   capped_.clear();
 
   arrival_order_.clear();
@@ -550,7 +550,7 @@ Time Simulator::next_event() {
     // Capped flows carry a stored rate below their pure allocation, so
     // the unchanged-component cache must not skip them: re-dirty their
     // links so the allocator re-reports them (allocation != stored rate),
-    // exactly as the from-scratch oracle does every recomputation.
+    // exactly as a from-scratch re-solve does every recomputation.
     for (const FlowId fid : capped_)
       alloc_.touch_flow(&state_.flows_[fid.value()]);
     capped_.clear();

@@ -34,7 +34,9 @@ class Registry;
 enum class Phase : int {
   kSetup = 0,           ///< run() preamble: reserve, arrival sort
   kSchedulerAssign = 1, ///< Scheduler::assign (priority → tier/weight)
-  kAllocator = 2,       ///< allocate_rates + settle/re-key of changed flows
+  kAllocator = 2,       ///< capped-flow re-touch + settle/re-key of changed
+                        ///< flows (allocate()'s own work is in the two
+                        ///< alloc_* sub-phases below)
   kCalendarDrain = 3,   ///< stale-entry pops, next-event pick, due pops
   kCompletion = 4,      ///< finish_flow / finish_coflow bookkeeping
   kDagRelease = 5,      ///< release_coflow: flow creation, routing, hooks
@@ -44,8 +46,7 @@ enum class Phase : int {
   kFault = 9,           ///< fault application, aborts, retries (fault/)
   kAllocFrontier = 10,  ///< incremental allocator: tier/weight mirror scan
   kAllocConverge = 11,  ///< frontier search + water-filling kernel per
-                        ///< affected component + changed list (the whole
-                        ///< allocation under the oracle)
+                        ///< affected component + changed list
   kSampling = 12,       ///< interval sampler polls (obs/sampler.h)
 };
 

@@ -13,27 +13,31 @@
 //     the untouched component was *not* re-solved.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
-//     schedulers, ramps, capacity changes, fault plans) run through two full
-//     Simulators that differ only in Config::allocator, asserting
-//     bit-identical results including structured traces — and a sharded
-//     sweep leg showing the pooled comparison matches the oracle's at 1,
-//     2 and 8 workers.
+//     schedulers, ramps, capacity changes, fault plans) run through one
+//     uninterrupted Simulator and through one paused at every distinct
+//     recorded event time and restored into a fresh Simulator at each
+//     pause, asserting bit-identical results including structured traces.
+//     A restored simulator keeps no allocator state, so its first
+//     allocation re-solves every component from scratch: each event time's
+//     incremental allocation is compared with a full re-solve of the same
+//     state.
 //
 // Failures print the trace seed for standalone reproduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "exp/experiment.h"
 #include "exp/registry.h"
 #include "fault/plan.h"
 #include "flowsim/allocator.h"
 #include "flowsim/simulator.h"
 #include "obs/trace.h"
+#include "snapshot/snapshot.h"
 #include "topology/big_switch.h"
 #include "topology/ecmp.h"
 #include "topology/fattree.h"
@@ -62,7 +66,7 @@ struct LockstepHarness {
     caps.resize(topo.link_count());
     for (std::size_t l = 0; l < topo.link_count(); ++l)
       caps[l] = topo.link(LinkId{l}).capacity;
-    alloc.reset(&topo, AllocatorKind::kIncremental, /*flow_capacity=*/64);
+    alloc.reset(&topo, /*flow_capacity=*/64);
   }
 
   SimFlow* arrive(Rng& rng) {
@@ -203,7 +207,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
   std::vector<SimFlow> a = make_population();
   {
     RateAllocator alloc;
-    alloc.reset(&fabric.topology(), AllocatorKind::kIncremental, a.size());
+    alloc.reset(&fabric.topology(), a.size());
     std::vector<SimFlow*> active;
     for (SimFlow& f : a) active.push_back(&f);
     for (SimFlow* f : active) alloc.add_flow(f);
@@ -215,7 +219,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
   std::vector<SimFlow> b = make_population();
   {
     RateAllocator alloc;
-    alloc.reset(&fabric.topology(), AllocatorKind::kIncremental, 16);
+    alloc.reset(&fabric.topology(), 16);
     std::vector<SimFlow*> active;
     for (auto it = b.rbegin(); it != b.rend(); ++it) {
       active.push_back(&*it);
@@ -307,7 +311,7 @@ TEST(AllocatorDifferentialTimeline, ArrivalSplitsOnlyItsBottleneck) {
   SimFlow a = fx.flow(0, {fx.up1, fx.down1});
   SimFlow d = fx.flow(1, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &d};
   alloc.add_flow(&a);
@@ -347,7 +351,7 @@ TEST(AllocatorDifferentialTimeline, FinishRelaxesOnlyItsBottleneck) {
   SimFlow c = fx.flow(2, {fx.up1, fx.down1});
   SimFlow d = fx.flow(3, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &b, &c, &d};
   for (SimFlow* f : active) alloc.add_flow(f);
@@ -384,7 +388,7 @@ TEST(AllocatorDifferentialTimeline, ExternalRateCapRedirtiesItsLinks) {
   SimFlow b = fx.flow(1, {fx.up1, fx.down1});
   SimFlow d = fx.flow(2, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &b, &d};
   for (SimFlow* f : active) alloc.add_flow(f);
@@ -497,134 +501,118 @@ Trial draw_trial(std::uint64_t seed) {
   return trial;
 }
 
-void expect_identical_runs(const SimResults& inc, const SimResults& ora,
-                           const SimState& inc_state,
-                           const SimState& ora_state) {
-  EXPECT_EQ(inc.events, ora.events);
-  EXPECT_EQ(inc.rate_recomputations, ora.rate_recomputations);
-  EXPECT_EQ(inc.makespan, ora.makespan);
+void expect_identical_runs(const SimResults& whole,
+                           const SimResults& restored,
+                           const SimState& whole_state,
+                           const SimState& restored_state) {
+  EXPECT_EQ(whole.events, restored.events);
+  EXPECT_EQ(whole.rate_recomputations, restored.rate_recomputations);
+  EXPECT_EQ(whole.makespan, restored.makespan);
 
-  ASSERT_EQ(inc.jobs.size(), ora.jobs.size());
-  for (std::size_t i = 0; i < inc.jobs.size(); ++i) {
-    EXPECT_EQ(inc.jobs[i].id, ora.jobs[i].id) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].arrival, ora.jobs[i].arrival) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].finish, ora.jobs[i].finish) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].total_bytes, ora.jobs[i].total_bytes)
+  ASSERT_EQ(whole.jobs.size(), restored.jobs.size());
+  for (std::size_t i = 0; i < whole.jobs.size(); ++i) {
+    EXPECT_EQ(whole.jobs[i].id, restored.jobs[i].id) << "job " << i;
+    EXPECT_EQ(whole.jobs[i].arrival, restored.jobs[i].arrival)
+        << "job " << i;
+    EXPECT_EQ(whole.jobs[i].finish, restored.jobs[i].finish) << "job " << i;
+    EXPECT_EQ(whole.jobs[i].total_bytes, restored.jobs[i].total_bytes)
         << "job " << i;
   }
 
-  ASSERT_EQ(inc.coflows.size(), ora.coflows.size());
-  for (std::size_t i = 0; i < inc.coflows.size(); ++i) {
-    EXPECT_EQ(inc.coflows[i].release, ora.coflows[i].release)
+  ASSERT_EQ(whole.coflows.size(), restored.coflows.size());
+  for (std::size_t i = 0; i < whole.coflows.size(); ++i) {
+    EXPECT_EQ(whole.coflows[i].release, restored.coflows[i].release)
         << "coflow " << i;
-    EXPECT_EQ(inc.coflows[i].finish, ora.coflows[i].finish)
+    EXPECT_EQ(whole.coflows[i].finish, restored.coflows[i].finish)
         << "coflow " << i;
-    EXPECT_EQ(inc.coflows[i].total_bytes, ora.coflows[i].total_bytes)
+    EXPECT_EQ(whole.coflows[i].total_bytes, restored.coflows[i].total_bytes)
         << "coflow " << i;
   }
 
-  ASSERT_EQ(inc_state.flow_count(), ora_state.flow_count());
-  for (std::size_t i = 0; i < inc_state.flow_count(); ++i) {
-    const SimFlow& a = inc_state.flow(FlowId{i});
-    const SimFlow& b = ora_state.flow(FlowId{i});
+  ASSERT_EQ(whole_state.flow_count(), restored_state.flow_count());
+  for (std::size_t i = 0; i < whole_state.flow_count(); ++i) {
+    const SimFlow& a = whole_state.flow(FlowId{i});
+    const SimFlow& b = restored_state.flow(FlowId{i});
     EXPECT_EQ(a.start_time, b.start_time) << "flow " << i;
     EXPECT_EQ(a.finish_time, b.finish_time) << "flow " << i;
     EXPECT_EQ(a.size, b.size) << "flow " << i;
   }
 
-  ASSERT_EQ(inc.link_bytes.size(), ora.link_bytes.size());
-  for (std::size_t i = 0; i < inc.link_bytes.size(); ++i)
-    EXPECT_EQ(inc.link_bytes[i], ora.link_bytes[i]) << "link " << i;
+  ASSERT_EQ(whole.link_bytes.size(), restored.link_bytes.size());
+  for (std::size_t i = 0; i < whole.link_bytes.size(); ++i)
+    EXPECT_EQ(whole.link_bytes[i], restored.link_bytes[i]) << "link " << i;
 }
 
-void run_engine_trial(std::uint64_t seed) {
+/// One simulator with its own scheduler and recorder, built from the
+/// trial's static inputs exactly as a restarted process would build it.
+struct Instance {
+  obs::TraceRecorder recorder{obs::TraceRecorder::kDefaultKinds};
+  std::unique_ptr<Scheduler> scheduler;
+  std::unique_ptr<Simulator> sim;
+
+  explicit Instance(const Trial& trial)
+      : scheduler(make_scheduler(trial.scheduler)) {
+    Simulator::Config config = trial.sim_config;
+    config.trace = &recorder;
+    sim = std::make_unique<Simulator>(*trial.fabric, *scheduler, config);
+    for (const JobSpec& job : trial.jobs) sim->submit(job);
+  }
+};
+
+/// Runs `seed`'s trial uninterrupted, then again paused by run_to at every
+/// distinct time its trace recorded and restored into a fresh simulator at
+/// every pause. Returns the number of restores.
+std::size_t run_engine_trial(std::uint64_t seed) {
   SCOPED_TRACE("reproduce with trace seed " + std::to_string(seed));
   const Trial trial = draw_trial(seed);
 
-  std::unique_ptr<Scheduler> inc_sched = make_scheduler(trial.scheduler);
-  std::unique_ptr<Scheduler> ora_sched = make_scheduler(trial.scheduler);
+  Instance whole(trial);
+  const SimResults whole_results = whole.sim->run();
+  const std::vector<obs::TraceRecord> whole_trace = whole.recorder.take();
 
-  // Identical configs except the allocator; structured traces recorded on
-  // both sides must match record for record (operator== is field-exact).
-  obs::TraceRecorder inc_rec(obs::TraceRecorder::kDefaultKinds);
-  obs::TraceRecorder ora_rec(obs::TraceRecorder::kDefaultKinds);
-  Simulator::Config inc_config = trial.sim_config;
-  inc_config.allocator = AllocatorKind::kIncremental;
-  inc_config.trace = &inc_rec;
-  Simulator::Config ora_config = trial.sim_config;
-  ora_config.allocator = AllocatorKind::kOracle;
-  ora_config.trace = &ora_rec;
+  std::vector<Time> times;
+  times.reserve(whole_trace.size());
+  for (const obs::TraceRecord& r : whole_trace) times.push_back(r.time);
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
 
-  Simulator inc(*trial.fabric, *inc_sched, inc_config);
-  Simulator ora(*trial.fabric, *ora_sched, ora_config);
-  for (const JobSpec& job : trial.jobs) {
-    inc.submit(job);
-    ora.submit(job);
+  // The restored side pauses before each event time, so the events at that
+  // time run on a simulator whose allocator holds nothing from before the
+  // pause; the structured traces must still match record for record
+  // (operator== is field-exact).
+  auto restored = std::make_unique<Instance>(trial);
+  std::size_t restores = 0;
+  for (const Time t : times) {
+    if (!restored->sim->run_to(t)) break;
+    snapshot::Writer w;
+    restored->sim->checkpoint(w);
+    const std::string bytes = w.take();
+    restored = std::make_unique<Instance>(trial);
+    snapshot::Reader r(bytes);
+    restored->sim->restore(r);
+    ++restores;
   }
-
-  const SimResults inc_results = inc.run();
-  const SimResults ora_results = ora.run();
-  expect_identical_runs(inc_results, ora_results, inc.state(), ora.state());
-  EXPECT_TRUE(inc_rec.take() == ora_rec.take())
+  const SimResults restored_results = restored->sim->finish();
+  expect_identical_runs(whole_results, restored_results, whole.sim->state(),
+                        restored->sim->state());
+  EXPECT_TRUE(whole_trace == restored->recorder.take())
       << "structured traces diverged";
+  return restores;
 }
 
-// The main gate: 200 randomized traces through two engines that differ
-// only in Config::allocator.
-TEST(AllocatorDifferential, FuzzIncrementalEngineAgainstOracleEngine) {
+// The main gate: 200 randomized traces, each compared with itself restored
+// (and so re-solved from scratch) at every event time.
+TEST(AllocatorDifferential, FuzzIncrementalEngineAgainstRestoredReSolve) {
+  std::size_t restores = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    run_engine_trial(seed);
+    restores += run_engine_trial(seed);
     if (::testing::Test::HasFailure()) {
       FAIL() << "allocator differential fuzz diverged at trace seed " << seed
              << "; rerun run_engine_trial(" << seed << ") to debug";
     }
   }
-}
-
-// ------------------------------------------------------ sharded sweeps ---
-
-void expect_same_comparison(const ComparisonResult& got,
-                            const ComparisonResult& want) {
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (const auto& [name, w] : want.results) {
-    const auto it = got.results.find(name);
-    ASSERT_NE(it, got.results.end()) << "missing scheduler " << name;
-    const SimResults& g = it->second;
-    EXPECT_EQ(g.makespan, w.makespan) << name;
-    EXPECT_EQ(g.events, w.events) << name;
-    EXPECT_EQ(g.rate_recomputations, w.rate_recomputations) << name;
-    ASSERT_EQ(g.jobs.size(), w.jobs.size()) << name;
-    for (std::size_t i = 0; i < g.jobs.size(); ++i) {
-      EXPECT_EQ(g.jobs[i].arrival, w.jobs[i].arrival) << name << " job " << i;
-      EXPECT_EQ(g.jobs[i].finish, w.jobs[i].finish) << name << " job " << i;
-    }
-    ASSERT_EQ(g.coflows.size(), w.coflows.size()) << name;
-    for (std::size_t i = 0; i < g.coflows.size(); ++i)
-      EXPECT_EQ(g.coflows[i].finish, w.coflows[i].finish)
-          << name << " coflow " << i;
-    EXPECT_TRUE(g.trace == w.trace) << name << ": pooled traces diverged";
-  }
-}
-
-// A pooled multi-seed sweep under the incremental allocator is
-// bit-identical to the oracle's at every worker count — the allocator's
-// determinism is per-run, so sharding must not be able to perturb it.
-TEST(AllocatorDifferentialWorkers, PooledSweepMatchesOracleAtAnyWorkerCount) {
-  ExperimentConfig config = trace_scenario(StructureKind::kMixed, 6, 42);
-  config.fat_tree_k = 4;
-  config.obs.trace = true;
-  const std::vector<std::string> names = {"gurita", "aalo"};
-
-  config.allocator = AllocatorKind::kOracle;
-  const ComparisonResult want = compare_schedulers_seeds(config, names, 6, 1);
-
-  config.allocator = AllocatorKind::kIncremental;
-  for (const int workers : {1, 2, 8}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    const ComparisonResult got =
-        compare_schedulers_seeds(config, names, 6, workers);
-    expect_same_comparison(got, want);
-  }
+  // The pauses were really taken (24,426 of them over the 200 traces).
+  EXPECT_GT(restores, 20000u);
 }
 
 }  // namespace

@@ -11,6 +11,10 @@
 //   P6  Determinism: identical seeds give identical schedules.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <string>
+
 #include "coflow/critical_path.h"
 #include "coflow/shapes.h"
 #include "exp/registry.h"
@@ -20,16 +24,29 @@
 namespace gurita {
 namespace {
 
+// gtest prints a parameter it cannot format as its raw bytes, and those
+// bytes are part of every case's name. The scheduler name is therefore held
+// inline and zero-filled, not in a std::string (whose heap pointer and
+// stale small-string bytes changed the names from run to run), so every
+// byte is defined and the listing is the same on every run.
 struct PropertyParams {
-  std::uint64_t seed;
-  std::string scheduler;
+  std::uint64_t seed = 0;
+  char scheduler[32] = {};
 };
+static_assert(sizeof(PropertyParams) == 40, "no padding bytes");
 
 std::vector<PropertyParams> make_params() {
   std::vector<PropertyParams> params;
-  for (std::uint64_t seed = 0; seed < 6; ++seed)
-    for (const std::string& name : scheduler_names())
-      params.push_back({seed, name});
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    for (const std::string& name : scheduler_names()) {
+      PropertyParams p;
+      p.seed = seed;
+      if (name.size() >= sizeof p.scheduler)
+        throw std::length_error("scheduler name too long: " + name);
+      std::strncpy(p.scheduler, name.c_str(), sizeof p.scheduler - 1);
+      params.push_back(p);
+    }
+  }
   return params;
 }
 
@@ -139,7 +156,8 @@ TEST_P(EngineProperties, DeterministicReplay) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsTimesSchedulers, EngineProperties, ::testing::ValuesIn(make_params()),
     [](const ::testing::TestParamInfo<PropertyParams>& info) {
-      return info.param.scheduler + "_seed" + std::to_string(info.param.seed);
+      return std::string(info.param.scheduler) + "_seed" +
+             std::to_string(info.param.seed);
     });
 
 }  // namespace
