@@ -3,12 +3,16 @@
 // Sweeps the number of simultaneously active flows (1k / 10k / 100k by
 // default) over a big-switch fabric with disjoint host pairs, so each
 // completion batch disturbs no other flow's rate — the regime where the
-// old engine's per-event full-active-set scans hurt most. Two scenarios:
+// old engine's per-event full-active-set scans hurt most. Three scenarios:
 //
 //   completions  flow-completion events only (PFS, no ticks)
 //   ticks        the same workload under a δ-tick scheduler whose ticks
 //                change nothing (the Gurita HR cadence) — every tick is an
 //                event the calendar engine handles without touching flows
+//   reweight     the same workload under a scheduler that sets every
+//                flow's weight to 1 / |active| (the WRR pattern of
+//                Gurita's starvation mitigation): every completion
+//                rescales every weight, and no rate can move
 //
 // Reports, per configuration: events, engine flow touches (counted by the
 // engine itself — see SimResults), wall time, and the engine phase profile
@@ -28,7 +32,9 @@
 // is its own link-connected component and the allocator's dirty-link
 // frontier must pass each flow through the water-filling kernel exactly
 // once over the whole run. A row whose flows_solved exceeds its flow count
-// means the frontier re-solved flows no event touched — nonzero exit.
+// means the frontier re-solved flows no event touched, or (reweight) a
+// single-weight component whose rates a rescale cannot move — nonzero
+// exit.
 //
 //   ./bench_engine [--flows 1000,10000,100000] [--groups 32]
 //                  [--tick 0.1] [--out BENCH_engine.json]
@@ -75,6 +81,31 @@ class TickingPfsScheduler final : public Scheduler {
   Time delta_;
 };
 
+/// Every flow in one tier at weight 1 / |active|: the weights change at
+/// every completion, but each component keeps one weight.
+class ReweightingScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "reweight"; }
+  void assign(Time now, const std::vector<SimFlow*>& active) override {
+    (void)now;
+    for (SimFlow* f : active) {
+      f->tier = 0;
+      f->weight = 1.0 / static_cast<double>(active.size());
+    }
+  }
+};
+
+enum class Scenario { kCompletions, kTicks, kReweight };
+
+const char* scenario_name(Scenario scenario) {
+  switch (scenario) {
+    case Scenario::kCompletions: return "completions";
+    case Scenario::kTicks: return "ticks";
+    case Scenario::kReweight: return "reweight";
+  }
+  return "?";
+}
+
 struct BenchRow {
   int flows = 0;
   std::string scenario;
@@ -111,13 +142,16 @@ enum class ObsWiring {
   kProfile,          ///< phase profiler attached
 };
 
-BenchRow run_one(int flows, int groups, Time tick, bool ticking,
+BenchRow run_one(int flows, int groups, Time tick, Scenario scenario,
                  ObsWiring wiring) {
   const BigSwitch fabric(BigSwitch::Config{2 * flows, 100.0});
   PfsScheduler pfs;
   TickingPfsScheduler ticking_pfs(tick);
+  ReweightingScheduler reweight;
   Scheduler& scheduler =
-      ticking ? static_cast<Scheduler&>(ticking_pfs) : pfs;
+      scenario == Scenario::kTicks      ? static_cast<Scheduler&>(ticking_pfs)
+      : scenario == Scenario::kReweight ? static_cast<Scheduler&>(reweight)
+                                        : pfs;
   obs::TraceRecorder disabled_recorder(/*mask=*/0);
   obs::PhaseProfiler profiler;
   // A sampler whose first boundary lies far past any makespan this bench
@@ -139,7 +173,7 @@ BenchRow run_one(int flows, int groups, Time tick, bool ticking,
 
   BenchRow row;
   row.flows = flows;
-  row.scenario = ticking ? "ticks" : "completions";
+  row.scenario = scenario_name(scenario);
   row.alloc = sim.allocator_stats();
   row.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
@@ -205,14 +239,17 @@ OverheadGuard run_overhead_guard(int flows, int groups, Time tick,
   for (int t = 0; t < trials; ++t) {
     base = std::min(
         base,
-        run_one(flows, groups, tick, false, ObsWiring::kNone).wall_ms);
+        run_one(flows, groups, tick, Scenario::kCompletions, ObsWiring::kNone)
+            .wall_ms);
     disabled = std::min(
         disabled,
-        run_one(flows, groups, tick, false, ObsWiring::kDisabledRecorder)
+        run_one(flows, groups, tick, Scenario::kCompletions,
+                ObsWiring::kDisabledRecorder)
             .wall_ms);
     sampler = std::min(
         sampler,
-        run_one(flows, groups, tick, false, ObsWiring::kIdleSampler)
+        run_one(flows, groups, tick, Scenario::kCompletions,
+                ObsWiring::kIdleSampler)
             .wall_ms);
   }
   guard.baseline_ms = base;
@@ -247,6 +284,7 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
         << ", \"allocations\": " << r.alloc.allocations
         << ", \"flows_solved\": " << r.alloc.flows_solved
         << ", \"components_solved\": " << r.alloc.components_solved
+        << ", \"components_skipped\": " << r.alloc.components_skipped
         << ", \"dirty_links\": " << r.alloc.dirty_links
         << ", \"wall_ms\": " << r.wall_ms << ", \"makespan\": " << r.makespan;
     if (r.profiled) {
@@ -295,9 +333,10 @@ int main(int argc, char** argv) try {
   obs::PhaseProfile total;
   bool over_solved = false;
   for (const int flows : flow_counts) {
-    for (const bool ticking : {false, true}) {
+    for (const Scenario scenario :
+         {Scenario::kCompletions, Scenario::kTicks, Scenario::kReweight}) {
       const BenchRow row =
-          run_one(flows, groups, tick, ticking,
+          run_one(flows, groups, tick, scenario,
                   profile ? ObsWiring::kProfile : ObsWiring::kNone);
       std::printf("%-10d %-12s %8llu %10llu %10.2f\n", row.flows,
                   row.scenario.c_str(),

@@ -61,6 +61,20 @@ void append_f64(std::string& out, const char* key, double v, bool* first) {
   out += buf;
 }
 
+/// `, "key": {count, p50, p95, p99}` of a diagnostics histogram.
+void append_histogram(std::string& out, const char* key,
+                      const LogHistogram& h) {
+  out += ", \"";
+  out += key;
+  out += "\": {";
+  bool first = true;
+  append_u64(out, "count", h.total(), &first);
+  append_f64(out, "p50", h.total() > 0 ? h.percentile(50) : 0.0, &first);
+  append_f64(out, "p95", h.total() > 0 ? h.percentile(95) : 0.0, &first);
+  append_f64(out, "p99", h.total() > 0 ? h.percentile(99) : 0.0, &first);
+  out += "}";
+}
+
 /// The non-deterministic "diagnostics" object (ExportOptions): pooled
 /// allocator work counters, reserved-memory peaks and thread-pool stats.
 std::string diagnostics_json(const SimResults::Diagnostics& diag,
@@ -70,15 +84,13 @@ std::string diagnostics_json(const SimResults::Diagnostics& diag,
   append_u64(out, "allocations", diag.alloc.allocations, &first);
   append_u64(out, "flows_solved", diag.alloc.flows_solved, &first);
   append_u64(out, "components_solved", diag.alloc.components_solved, &first);
+  append_u64(out, "components_skipped", diag.alloc.components_skipped,
+             &first);
   append_u64(out, "dirty_links", diag.alloc.dirty_links, &first);
-  out += ", \"component_flows\": {";
-  first = true;
-  const LogHistogram& h = diag.alloc.component_flows;
-  append_u64(out, "count", h.total(), &first);
-  append_f64(out, "p50", h.total() > 0 ? h.percentile(50) : 0.0, &first);
-  append_f64(out, "p95", h.total() > 0 ? h.percentile(95) : 0.0, &first);
-  append_f64(out, "p99", h.total() > 0 ? h.percentile(99) : 0.0, &first);
-  out += "}},\n    \"memory\": {";
+  append_u64(out, "flows_changed", diag.alloc.flows_changed, &first);
+  append_histogram(out, "component_flows", diag.alloc.component_flows);
+  append_histogram(out, "changed_flows", diag.alloc.changed_flows);
+  out += "},\n    \"memory\": {";
   first = true;
   using S = obs::MemoryAccountant::Subsystem;
   for (int i = 0; i < obs::MemoryAccountant::kNumSubsystems; ++i) {

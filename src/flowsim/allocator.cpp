@@ -115,8 +115,21 @@ void pad_scan(WaterfillScratch& s, std::uint32_t nscan) {
 /// and path order, and each round takes the same minimum and freezes links
 /// in position order. Shares are divided out only when a freeze changes
 /// them, never in the scans.
+///
+/// A group whose flows all carry one weight is solved at weight 1, in the
+/// sums and in `rate = w * share` alike. Weighted max-min with equal
+/// weights is unweighted max-min, so this changes no rate beyond rounding,
+/// and it makes the group's rates and residuals independent of the shared
+/// weight: RateAllocator relies on that to keep a rescaled single-weight
+/// component's cached rates (DESIGN.md §13).
 void waterfill_group(SimFlow* const* group, const std::uint32_t* path_off,
                      std::size_t n, WaterfillScratch& s) {
+  bool unit = true;
+  for (std::size_t i = 1; i < n && unit; ++i)
+    unit = group[i]->weight == group[0]->weight;
+  const auto weight_of = [unit](const SimFlow* f) {
+    return unit ? 1.0 : f->weight;
+  };
   // Positions in first-touch order; each flow's path rewritten from slots
   // to positions (a flow belongs to exactly one group).
   std::uint32_t npos = 0;
@@ -137,7 +150,7 @@ void waterfill_group(SimFlow* const* group, const std::uint32_t* path_off,
         s.unfrozen[p] = 0;
       }
       s.path[k] = p;
-      s.weight[p] += f->weight;
+      s.weight[p] += weight_of(f);
       ++s.unfrozen[p];
     }
   }
@@ -174,7 +187,7 @@ void waterfill_group(SimFlow* const* group, const std::uint32_t* path_off,
       const std::uint32_t idx = s.csr[k];
       if (s.frozen[idx]) continue;
       SimFlow* f = group[idx];
-      const double w = f->weight;
+      const double w = weight_of(f);
       const Rate rate = w * share;
       f->rate = rate;
       s.frozen[idx] = 1;
@@ -390,6 +403,7 @@ void RateAllocator::reset(const Topology* topo, std::size_t flow_capacity) {
   old_rate_.clear();
   flow_mark_.clear();
   affected_.clear();
+  reweighted_.clear();
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
   tier_mirror_.reserve(flow_capacity);
@@ -480,6 +494,54 @@ void RateAllocator::rebuild(const std::vector<SimFlow*>& active) {
   for (SimFlow* f : active) add_flow(f);
 }
 
+void RateAllocator::converge(LinkId seed, bool weight_only,
+                             const std::vector<Rate>& capacities) {
+  link_mark_[seed.value()] = kClaimed;
+  std::size_t queue = claimed_links_.size();
+  claimed_links_.push_back(seed);
+  const std::size_t begin = affected_.size();
+  for (; queue < claimed_links_.size(); ++queue) {
+    const std::size_t l = claimed_links_[queue].value();
+    for (std::int32_t e = head_[l]; e != kNil; e = ent_next_[e]) {
+      SimFlow* f = ent_flow_[e];
+      const std::size_t fid = f->id.value();
+      if (flow_mark_[fid]) continue;
+      flow_mark_[fid] = 1;
+      old_rate_[fid] = f->rate;
+      affected_.push_back(f);
+      for (LinkId pl : f->path) {
+        if (link_mark_[pl.value()] == kClaimed) continue;
+        link_mark_[pl.value()] = kClaimed;
+        claimed_links_.push_back(pl);
+      }
+    }
+  }
+  if (affected_.size() == begin) return;  // a link no flow crosses
+  SimFlow** comp = affected_.data() + begin;
+  const std::size_t size = affected_.size() - begin;
+  // Same flows, tiers and caps as at the last allocation (no link of the
+  // component is dirty): with one weight then and one now, the kernel's
+  // unit-weight rule makes the cached rates the bits a re-solve would give.
+  bool one_weight = weight_only;
+  const double mirror = weight_mirror_[comp[0]->id.value()];
+  for (std::size_t i = 1; i < size && one_weight; ++i) {
+    one_weight = comp[i]->weight == comp[0]->weight &&
+                 weight_mirror_[comp[i]->id.value()] == mirror;
+  }
+  if (one_weight) {
+    ++stats_.components_skipped;
+    return;
+  }
+  std::sort(comp, comp + size, [](const SimFlow* a, const SimFlow* b) {
+    if (a->tier != b->tier) return a->tier < b->tier;
+    return a->id < b->id;
+  });
+  solve_component(*topo_, comp, size, capacities, scratch_);
+  ++stats_.components_solved;
+  stats_.flows_solved += size;
+  stats_.component_flows.add(static_cast<double>(size));
+}
+
 void RateAllocator::allocate(const std::vector<Rate>& capacities,
                              const std::vector<SimFlow*>& active,
                              std::vector<RateChange>* changed,
@@ -491,64 +553,46 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
     // Priority rewrites leave no event trail of their own: schedulers
     // mutate tier/weight in place during assign(). One O(active) mirror
     // scan per recomputation catches them — still O(1) per flow, versus
-    // a full sort + re-solve.
+    // a full sort + re-solve. A tier change dirties the flow's path; a
+    // weight-only change is kept for the second pass below, its old
+    // weight still in the mirror.
     for (SimFlow* f : active) {
       const std::size_t fid = f->id.value();
-      if (f->tier != tier_mirror_[fid] || f->weight != weight_mirror_[fid]) {
+      if (f->tier != tier_mirror_[fid]) {
         tier_mirror_[fid] = f->tier;
         weight_mirror_[fid] = f->weight;
         for (LinkId l : f->path) dirty_link(l);
+      } else if (f->weight != weight_mirror_[fid]) {
+        reweighted_.push_back(f);
       }
     }
   }
 
-  obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
-  // One pass over the frontier: each dirty link no earlier search reached
-  // seeds a breadth-first search over the link <-> flow membership lists
-  // (claimed_links_ is its queue). The search claims its whole component
-  // — every flow whose rate can legally change with that link — records
-  // the flows' old rates, then the component is sorted and re-solved with
-  // the shared kernel at once. The union of the components is the
-  // fixpoint of the dirty-link closure.
+  obs::ScopedPhase converge_phase(profiler, obs::Phase::kAllocConverge);
+  // First pass over the frontier: each dirty link no earlier search
+  // reached seeds a breadth-first search over the link <-> flow membership
+  // lists (claimed_links_ is its queue). The search claims its whole
+  // component — every flow whose rate can legally change with that link —
+  // records the flows' old rates, then the component is sorted and
+  // re-solved with the shared kernel at once. The union of the components
+  // is the fixpoint of the dirty-link closure.
   for (LinkId seed : dirty_list_) {
-    if (link_mark_[seed.value()] == kClaimed) continue;
-    link_mark_[seed.value()] = kClaimed;
-    std::size_t queue = claimed_links_.size();
-    claimed_links_.push_back(seed);
-    const std::size_t begin = affected_.size();
-    for (; queue < claimed_links_.size(); ++queue) {
-      const std::size_t l = claimed_links_[queue].value();
-      for (std::int32_t e = head_[l]; e != kNil; e = ent_next_[e]) {
-        SimFlow* f = ent_flow_[e];
-        const std::size_t fid = f->id.value();
-        if (flow_mark_[fid]) continue;
-        flow_mark_[fid] = 1;
-        old_rate_[fid] = f->rate;
-        affected_.push_back(f);
-        for (LinkId pl : f->path) {
-          if (link_mark_[pl.value()] == kClaimed) continue;
-          link_mark_[pl.value()] = kClaimed;
-          claimed_links_.push_back(pl);
-        }
-      }
-    }
-    if (affected_.size() == begin) continue;  // a link no flow crosses
-    SimFlow** comp = affected_.data() + begin;
-    const std::size_t size = affected_.size() - begin;
-    std::sort(comp, comp + size, [](const SimFlow* a, const SimFlow* b) {
-      if (a->tier != b->tier) return a->tier < b->tier;
-      return a->id < b->id;
-    });
-    solve_component(*topo_, comp, size, capacities, scratch_);
-    ++stats_.components_solved;
-    stats_.component_flows.add(static_cast<double>(size));
+    if (link_mark_[seed.value()] != kClaimed) converge(seed, false, capacities);
   }
+  // Second pass: a reweighted flow no search reached lies in a component
+  // with no dirty link, so its flows, tiers and caps are those of the last
+  // allocation and only weights moved. Its search solves the component
+  // unless one weight was shared then and is shared now.
+  for (SimFlow* f : reweighted_) {
+    if (!flow_mark_[f->id.value()]) converge(f->path.front(), true, capacities);
+  }
+  for (SimFlow* f : reweighted_) weight_mirror_[f->id.value()] = f->weight;
+  reweighted_.clear();
   stats_.dirty_links += claimed_links_.size();
-  stats_.flows_solved += affected_.size();
 
   // Changed flows, in active order — the exact list (content and order)
-  // allocate_rates() reports: an unaffected flow's cached rate is bitwise what
-  // a re-solve would produce, so it cannot have "changed".
+  // allocate_rates() reports: an unaffected or skipped flow's cached rate
+  // is bitwise what a re-solve would produce, so it cannot have "changed".
   if (changed != nullptr) {
     changed->clear();
     for (SimFlow* f : active) {
@@ -556,6 +600,8 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
       if (flow_mark_[fid] && f->rate != old_rate_[fid])
         changed->push_back(RateChange{f, old_rate_[fid]});
     }
+    stats_.flows_changed += changed->size();
+    stats_.changed_flows.add(static_cast<double>(changed->size()));
   }
 
   for (const SimFlow* f : affected_) flow_mark_[f->id.value()] = 0;
@@ -592,7 +638,7 @@ std::size_t RateAllocator::memory_bytes() const {
          vec_bytes(old_rate_) + vec_bytes(flow_mark_) +
          vec_bytes(link_mark_) + vec_bytes(dirty_list_) +
          vec_bytes(claimed_links_) + vec_bytes(affected_) +
-         scratch_.memory_bytes();
+         vec_bytes(reweighted_) + scratch_.memory_bytes();
 }
 
 }  // namespace gurita

@@ -60,21 +60,31 @@ struct AllocStats {
   std::uint64_t allocations = 0;       ///< allocate() calls
   std::uint64_t flows_solved = 0;      ///< flows passed through the kernel
   std::uint64_t components_solved = 0; ///< components re-converged
+  /// Components a weight-only change reached but left alone: every flow
+  /// shared one weight before and after, so the kernel's rates cannot move.
+  std::uint64_t components_skipped = 0;
   std::uint64_t dirty_links = 0;       ///< links the frontier BFS claimed
+  std::uint64_t flows_changed = 0;     ///< flows whose rate moved (bits)
   /// Distribution of re-converged component sizes (flows per
   /// solve_component call), log2-bucketed. Like the counters above this is
   /// diagnostic only — it surfaces through the --diagnostics export, never
   /// through fingerprinted registries.
   LogHistogram component_flows{2.0};
+  /// Flows whose rate moved, one sample per allocation that asked for the
+  /// changed list (the engine's always do), log2-bucketed.
+  LogHistogram changed_flows{2.0};
 
-  /// Sums another run's counters and component-size distribution in (the
-  /// diagnostics pooling ComparisonResult::absorb performs).
+  /// Sums another run's counters and distributions in (the diagnostics
+  /// pooling ComparisonResult::absorb performs).
   void merge(const AllocStats& other) {
     allocations += other.allocations;
     flows_solved += other.flows_solved;
     components_solved += other.components_solved;
+    components_skipped += other.components_skipped;
     dirty_links += other.dirty_links;
+    flows_changed += other.flows_changed;
     component_flows.merge(other.component_flows);
+    changed_flows.merge(other.changed_flows);
   }
 };
 
@@ -166,7 +176,11 @@ void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
 /// (flat SoA membership lists) from each dirty link no earlier search
 /// reached, solves each component so found with the shared kernel, and
 /// reports exactly the flows whose rate moved — in active-list order,
-/// bitwise identical to what allocate_rates() would report.
+/// bitwise identical to what allocate_rates() would report. A flow whose
+/// only change is its weight seeds a second pass of the same search; the
+/// component it claims is solved unless all its flows shared one weight
+/// at the last allocation and still share one, since the kernel solves
+/// such components at unit weight.
 ///
 /// The class owns no simulation state that cannot be rebuilt: a restored
 /// simulator calls rebuild(active) and the first allocation re-solves
@@ -207,7 +221,8 @@ class RateAllocator {
   void dirty_link(LinkId link);
 
   /// Recomputes rates: mirror-scans `active` for tier/weight changes,
-  /// re-solves every component a dirty link touches, and fills `changed`
+  /// re-solves every component a dirty link touches and every component
+  /// a weight change can move, and fills `changed`
   /// (cleared first) with the flows whose rate moved, in `active` order —
   /// the same list allocate_rates() would produce. `profiler` (may be
   /// null) receives the kAllocFrontier / kAllocConverge sub-phases.
@@ -227,6 +242,12 @@ class RateAllocator {
 
   /// Grows the per-flow-id arrays to cover `fid`.
   void ensure_flow(std::size_t fid);
+  /// Claims the unclaimed component that `seed` (an unclaimed link) lies
+  /// in by breadth-first search, appending its flows to affected_ with
+  /// their old rates recorded, and solves it unless `weight_only` and its
+  /// flows share one weight both in weight_mirror_ and now.
+  void converge(LinkId seed, bool weight_only,
+                const std::vector<Rate>& capacities);
 
   const Topology* topo_ = nullptr;
   AllocStats stats_;
@@ -245,6 +266,8 @@ class RateAllocator {
   std::vector<char> in_;                 ///< currently a member
   std::vector<Tier> tier_mirror_;        ///< tier at last allocation
   std::vector<double> weight_mirror_;    ///< weight at last allocation
+                                         ///< (reweighted_ flows: until the
+                                         ///< weight-only pass is done)
   std::vector<Rate> old_rate_;           ///< rate when claimed by a BFS
   std::vector<char> flow_mark_;          ///< claimed by this allocation
 
@@ -256,6 +279,8 @@ class RateAllocator {
   std::vector<LinkId> claimed_links_;    ///< BFS queue; all claimed links
   std::vector<SimFlow*> affected_;       ///< claimed flows, one component
                                          ///< after another
+  std::vector<SimFlow*> reweighted_;     ///< weight-only changes, seeds of
+                                         ///< the second pass
 
   WaterfillScratch scratch_;
 };

@@ -45,8 +45,9 @@ enum class Phase : int {
   kResults = 8,         ///< end-of-run result assembly
   kFault = 9,           ///< fault application, aborts, retries (fault/)
   kAllocFrontier = 10,  ///< incremental allocator: tier/weight mirror scan
-  kAllocConverge = 11,  ///< frontier search + water-filling kernel per
-                        ///< affected component + changed list
+  kAllocConverge = 11,  ///< frontier search (dirty-link pass, then the
+                        ///< weight-only pass) + water-filling kernel per
+                        ///< component solved + changed list
   kSampling = 12,       ///< interval sampler polls (obs/sampler.h)
 };
 

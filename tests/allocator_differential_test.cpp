@@ -8,9 +8,10 @@
 //     allocate_rates() on a clone of the same flow set.
 //
 //  2. Hand-computed dirty-frontier timelines: an arrival that splits a
-//     bottleneck, a finish that relaxes one, and an external rate cap
-//     (the straggler pattern) — each with AllocStats assertions proving
-//     the untouched component was *not* re-solved.
+//     bottleneck, a finish that relaxes one, an external rate cap (the
+//     straggler pattern) and WRR reweights — each with AllocStats
+//     assertions proving the untouched or single-weight components were
+//     *not* re-solved.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
 //     schedulers, ramps, capacity changes, fault plans) run through one
@@ -26,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
@@ -411,6 +414,95 @@ TEST(AllocatorDifferentialTimeline, ExternalRateCapRedirtiesItsLinks) {
   ASSERT_EQ(changed.size(), 1u);
   EXPECT_EQ(changed[0].flow->id, a.id);
   EXPECT_EQ(changed[0].old_rate, 10.0);
+}
+
+/// Expects every flow of `active` to carry bitwise the rate a from-scratch
+/// allocate_rates() gives a clone of the same flow set.
+void expect_resolve_bits(const Topology& topo, const std::vector<Rate>& caps,
+                         const std::vector<SimFlow*>& active,
+                         const char* step) {
+  std::vector<SimFlow> clones;
+  for (const SimFlow* f : active) clones.push_back(*f);
+  std::vector<SimFlow*> ptrs;
+  for (SimFlow& f : clones) ptrs.push_back(&f);
+  allocate_rates(topo, caps, ptrs);
+  for (std::size_t i = 0; i < active.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(active[i]->rate),
+              std::bit_cast<std::uint64_t>(clones[i].rate))
+        << step << ": flow " << active[i]->id << " cached "
+        << active[i]->rate << " vs re-solved " << clones[i].rate;
+}
+
+TEST(AllocatorDifferentialTimeline, WeightOnlyChangeSolvesOnlyMixedComponents) {
+  // Three disjoint host pairs at 90, one component each, in the WRR
+  // pattern (weight w_q / n_q for a flow of queue q): A and B hold three
+  // flows of one queue each, C one flow of each of two queues.
+  Topology topo;
+  std::vector<std::vector<LinkId>> pair_path;
+  for (int p = 0; p < 3; ++p) {
+    const NodeId src = topo.add_node(NodeKind::kHost, 0, 2 * p);
+    const NodeId sw = topo.add_node(NodeKind::kEdgeSwitch, 0, p);
+    const NodeId dst = topo.add_node(NodeKind::kHost, 0, 2 * p + 1);
+    pair_path.push_back({topo.add_link(src, sw, 90.0),
+                         topo.add_link(sw, dst, 90.0)});
+  }
+  const std::vector<Rate> caps(topo.link_count(), 90.0);
+  std::vector<SimFlow> flows;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    const int pair = id < 3 ? 0 : id < 6 ? 1 : 2;
+    flows.push_back(TwoPairFixture::flow(id, pair_path[pair]));
+  }
+  SimFlow* const c0 = &flows[6];
+  SimFlow* const c1 = &flows[7];
+  const auto set_weights = [&](double a, double b, double c0_w, double c1_w) {
+    for (int i = 0; i < 3; ++i) flows[i].weight = a;
+    for (int i = 3; i < 6; ++i) flows[i].weight = b;
+    c0->weight = c0_w;
+    c1->weight = c1_w;
+  };
+  std::vector<SimFlow*> active;
+  for (SimFlow& f : flows) active.push_back(&f);
+  RateAllocator alloc;
+  alloc.reset(&topo, 8);
+  for (SimFlow* f : active) alloc.add_flow(f);
+  set_weights(0.1, 0.3, 0.3, 0.1);
+  alloc.allocate(caps, active, nullptr, nullptr);
+  // Single-weight components solve at unit weight: exactly 90 / 3, where
+  // weight 0.1 would give 0.1 * (90 / 0.3...) = 29.999999999999996.
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(flows[i].rate, 30.0) << "flow " << i;
+  expect_resolve_bits(topo, caps, active, "first allocation");
+
+  // Every weight rescales (the queue demands moved): A and B keep one
+  // weight each and are left alone; only C, still mixed, is solved.
+  AllocStats before = alloc.stats();
+  set_weights(1e-3, 0.37, 0.5, 0.2);
+  std::vector<RateChange> changed;
+  alloc.allocate(caps, active, &changed, nullptr);
+  AllocStats after = alloc.stats();
+  EXPECT_EQ(after.flows_solved - before.flows_solved, 2u);
+  EXPECT_EQ(after.components_solved - before.components_solved, 1u);
+  EXPECT_EQ(after.components_skipped - before.components_skipped, 2u);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(flows[i].rate, 30.0) << "flow " << i;
+  ASSERT_EQ(changed.size(), 2u);
+  EXPECT_EQ(changed[0].flow, c0);
+  EXPECT_EQ(changed[1].flow, c1);
+  EXPECT_EQ(after.flows_changed - before.flows_changed, 2u);
+  expect_resolve_bits(topo, caps, active, "rescale");
+
+  // c0 is demoted into c1's queue: C now holds one weight, but its cached
+  // rates were solved with two, so it must be solved again; A and B are
+  // rescaled once more and still left alone.
+  before = alloc.stats();
+  set_weights(0.25, 1e6, 0.2, 0.2);
+  alloc.allocate(caps, active, &changed, nullptr);
+  after = alloc.stats();
+  EXPECT_EQ(after.flows_solved - before.flows_solved, 2u);
+  EXPECT_EQ(after.components_solved - before.components_solved, 1u);
+  EXPECT_EQ(after.components_skipped - before.components_skipped, 2u);
+  EXPECT_EQ(c0->rate, 45.0);
+  EXPECT_EQ(c1->rate, 45.0);
+  ASSERT_EQ(changed.size(), 2u);
+  expect_resolve_bits(topo, caps, active, "demotion");
 }
 
 // ---------------------------------------------------- engine-level fuzz ---

@@ -2,6 +2,9 @@
 // work conservation, fairness, weights and strict tier priority.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -247,6 +250,51 @@ TEST(Waterfill, PureFunctionOfFlowSet) {
   allocate_rates(ft.topology(), bwd);
   for (std::size_t i = 0; i < forward.size(); ++i)
     EXPECT_EQ(forward[i].rate, backward[i].rate) << "flow " << i;
+}
+
+TEST(Waterfill, EqualWeightsSolveAsUnitWeights) {
+  // Weighted max-min with one shared weight is unweighted max-min, and the
+  // kernel solves such a group at weight 1: rescaling the shared weight
+  // must leave every rate bit and every consumed-residual bit unchanged.
+  const FatTree ft(FatTree::Config{4, 100.0});
+  const EcmpRouter router(ft, 11);
+  std::vector<SimFlow> base;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const int src = static_cast<int>(i % 16);
+    const int dst = static_cast<int>((i * 5 + 3) % 16);
+    if (src == dst) continue;
+    base.push_back(make_flow(i, router.route(FlowId{i}, src, dst)));
+  }
+  std::vector<Rate> caps(ft.topology().link_count());
+  for (std::size_t l = 0; l < caps.size(); ++l)
+    caps[l] = 100.0 * (1.0 + 0.37 * static_cast<double>(l % 7));
+  auto solve = [&](double weight, std::vector<SimFlow>& flows,
+                   std::vector<Rate>& residual) {
+    flows = base;
+    for (SimFlow& f : flows) f.weight = weight;
+    std::vector<SimFlow*> ptrs;
+    for (SimFlow& f : flows) ptrs.push_back(&f);
+    residual = caps;
+    waterfill(ft.topology(), ptrs, residual);
+  };
+  std::vector<SimFlow> unit_flows;
+  std::vector<Rate> unit_residual;
+  solve(1.0, unit_flows, unit_residual);
+  Rng rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    const double weight = std::pow(10.0, rng.uniform(-9.0, 9.0));
+    std::vector<SimFlow> flows;
+    std::vector<Rate> residual;
+    solve(weight, flows, residual);
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(flows[i].rate),
+                std::bit_cast<std::uint64_t>(unit_flows[i].rate))
+          << "weight " << weight << ", flow " << i;
+    for (std::size_t l = 0; l < residual.size(); ++l)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(residual[l]),
+                std::bit_cast<std::uint64_t>(unit_residual[l]))
+          << "weight " << weight << ", link " << l;
+  }
 }
 
 // Property sweep: random flows on a fat-tree; check capacity, non-negative

@@ -10,6 +10,12 @@
 // from 1e-6 to 1e6, zero-capacity links (+0.0 and -0.0), residuals at or
 // below the 1e-9 "tiny" cut-off, and bottleneck shares engineered to lie
 // within and just outside the kernel's 1e-12 relative tie tolerance.
+//
+// The kernel solves a tier group whose flows all carry one weight at weight
+// 1 (DESIGN.md §13). The reference predates that rule, so the test restates
+// it on the reference's input copy, in its own code: such a group is fed to
+// the reference with every weight set to 1. Groups of equal non-unit
+// weights, and groups one ulp away from equal, pin both sides of the rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,12 +146,38 @@ std::vector<SimFlow*> pointers(std::vector<SimFlow>& flows) {
   return out;
 }
 
+/// Sets every weight of `flows[begin, end)` to 1 when they are all
+/// bitwise equal.
+void unit_weight_if_equal(std::vector<SimFlow>& flows, std::size_t begin,
+                          std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (std::bit_cast<std::uint64_t>(flows[i].weight) !=
+        std::bit_cast<std::uint64_t>(flows[begin].weight))
+      return;
+  }
+  for (std::size_t i = begin; i < end; ++i) flows[i].weight = 1.0;
+}
+
+/// The reference's input for a (tier, id)-sorted component: each tier
+/// group of equal weights at weight 1.
+std::vector<SimFlow> reference_input(const std::vector<SimFlow>& flows) {
+  std::vector<SimFlow> out = flows;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= out.size(); ++i) {
+    if (i == out.size() || out[i].tier != out[begin].tier) {
+      unit_weight_if_equal(out, begin, i);
+      begin = i;
+    }
+  }
+  return out;
+}
+
 /// Solves `inst` with both kernels on separate copies and compares rate
 /// bits; `scratch` is the production scratch, reused across instances as
 /// the allocator reuses it. Returns the number of tier groups solved.
 std::size_t expect_same_bits(const Topology& topo, const Instance& inst,
                              WaterfillScratch& scratch) {
-  std::vector<SimFlow> ref_flows = inst.flows;
+  std::vector<SimFlow> ref_flows = reference_input(inst.flows);
   std::vector<SimFlow> new_flows = inst.flows;
   std::vector<SimFlow*> ref_ptrs = pointers(ref_flows);
   std::vector<SimFlow*> new_ptrs = pointers(new_flows);
@@ -173,7 +205,28 @@ TEST(WaterfillKernel, SolveComponentMatchesReferenceBits) {
                                scratch);
     if (HasFailure()) break;  // one instance's diff is enough to read
   }
-  EXPECT_GT(groups, 5000u);
+  // One shared non-unit weight per instance (solved at unit weight), and
+  // the same with one flow per tier group a ulp above or below it (solved
+  // weighted).
+  const double shared[] = {1e-6, 0.37, 1e6};
+  for (std::uint64_t seed = 0; seed < 600 && !HasFailure(); ++seed) {
+    Instance inst = make_instance(seed);
+    const double w = shared[seed % 3];
+    const bool off_by_ulp = (seed / 3) % 2 == 1;
+    inst.label += ", weight " + std::to_string(w) +
+                  (off_by_ulp ? " with one ulp off per tier" : "");
+    for (std::size_t i = 0; i < inst.flows.size(); ++i) {
+      SimFlow& f = inst.flows[i];
+      f.weight = w;
+      const bool group_end =
+          i + 1 == inst.flows.size() || inst.flows[i + 1].tier != f.tier;
+      if (off_by_ulp && group_end)
+        f.weight = std::nextafter(w, seed % 2 == 0 ? 0.0 : 2 * w);
+    }
+    groups += expect_same_bits(fabrics().pick(seed).topology(), inst,
+                               scratch);
+  }
+  EXPECT_GT(groups, 6000u);
 }
 
 TEST(WaterfillKernel, LargeMultiTierComponentsMatchReferenceBits) {
@@ -232,7 +285,9 @@ TEST(WaterfillKernel, WaterfillConsumesReferenceResiduals) {
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     const Instance inst = make_instance(seed + 5000);
     const Topology& topo = fabrics().pick(seed + 5000).topology();
+    // waterfill() solves its input as one group whatever the tiers.
     std::vector<SimFlow> ref_flows = inst.flows;
+    unit_weight_if_equal(ref_flows, 0, ref_flows.size());
     std::vector<SimFlow> new_flows = inst.flows;
     std::vector<SimFlow*> ref_group = pointers(ref_flows);
     std::vector<SimFlow*> new_group = pointers(new_flows);
